@@ -93,7 +93,7 @@ from .graphs import BipartiteGraph, Graph
 from .matching import Matching
 from .stream import EdgeUpdate, MatchingService, StreamResult
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ALGORITHMS",

@@ -33,11 +33,12 @@ kernel-tier gates):
   :class:`~repro.congest.policies.BandwidthPolicy` (subclasses might price
   per edge, which kernels memoize away).
 
-Kernels also power the **sharded** fast path: a kernel that declares
-``shard_words > 0`` and implements the ``shard_*`` hooks runs *inside*
-shard worker processes (:mod:`repro.congest.sharding`, kernel mode),
-with a :class:`ShardContext` supplying worker-local staging, index
-translation and zero-copy halo record views in place of the Network.
+Kernels are the two fast rungs of the CONGEST ladder (``sharded-kernel``
+> ``kernel`` > ``node``): in-process, and *inside* shard worker
+processes (:mod:`repro.congest.sharding`) when the kernel declares
+``shard_words > 0`` and implements the ``shard_*`` hooks, with a
+:class:`ShardContext` supplying worker-local staging, index translation
+and zero-copy halo record views in place of the Network.
 
 numpy is optional: kernels use it for bulk array passes when importable and
 fall back to tight pure-python array code otherwise (``_np`` is the module
@@ -389,36 +390,23 @@ class RoundKernel:
     #: mirror of the node program's ``passive`` flag: True enables the
     #: engine's quiescence rule (nothing in flight and nobody will speak)
     passive: bool = False
-    #: shard-safety declaration for :mod:`repro.congest.sharding`: True
-    #: promises that the registered *node program* (not the kernel) keeps
-    #: all mutable state node-local, treats ``shared`` and its inbox as
+    #: int64 words per halo record on the sharded-kernel fast path, and
+    #: the kernel's shard-safety declaration: a value > 0 promises that
+    #: the ``shard_*`` hooks are implemented and golden-equivalent to the
+    #: in-process path, and that the registered *node program* keeps all
+    #: mutable state node-local, treats ``shared`` and its inbox as
     #: read-only, and sends only plain-data payloads (None, bools, ints,
-    #: floats, strings and nested tuples/lists/dicts/sets) — the contract
-    #: that makes partitioned multi-process execution golden-equivalent.
-    #: The default is False: shard safety is declared per audited kernel,
-    #: never inherited, so a new kernel cannot be forked across processes
-    #: before someone has checked its node program against the contract.
-    shardable: bool = False
-    #: int64 words per halo record on the sharded-kernel fast path; 0
-    #: means the kernel has no shard hooks and sharded runs fall back to
-    #: per-node workers even when ``shardable`` is True.
+    #: floats, strings and nested tuples/lists/dicts/sets).  The default
+    #: 0 keeps the kernel in-process: shard safety is declared per audited
+    #: kernel, never inherited.
     shard_words: int = 0
-    #: audit flag for the ``compiled`` tier: True promises this kernel's
-    #: draws go through :meth:`rng`'s random.Random surface (so the
-    #: compiled MT19937 facade can replace it bit-identically) and that
-    #: any :meth:`compiled_step` fast path is golden-equivalent to
-    #: :meth:`step`.  Like ``shardable``, it is declared per audited
-    #: kernel and never inherited.
-    compiled_audited: bool = False
 
     def __init__(self, net: Network) -> None:
         self.net = net
         self.arrays = csr_arrays(net)
         self._rngs: List[Optional[random.Random]] = [None] * self.arrays.n
-        #: True once :meth:`enable_compiled` swapped in the jitted tier
-        self.compiled = False
         #: the :class:`ShardContext` when running inside a shard worker
-        #: (kernel mode), else None
+        #: (the ``sharded-kernel`` tier), else None
         self.shard: Optional[ShardContext] = None
         #: global order position of the node being processed — shard
         #: workers report it for first-error attribution (min phase/pos)
@@ -441,7 +429,6 @@ class RoundKernel:
         self.net = None
         self.arrays = ctx.arrays
         self._rngs = [None] * ctx.arrays.n
-        self.compiled = False
         self.shard = ctx
         self.shard_pos = 0
         self._node_rng = ctx.node_rng
@@ -454,44 +441,6 @@ class RoundKernel:
     def accepts(self) -> bool:
         """Last-chance veto: False sends this run down the per-node path."""
         return True
-
-    def compiled_why(self, shared: Dict[str, Any]) -> Optional[str]:
-        """Instance-level veto for the ``compiled`` tier (None = eligible).
-
-        Subclasses return a human-readable reason when this particular
-        run cannot take the jitted path (for example a value domain that
-        would overflow int64) — the resolution chain reports it and the
-        run falls to the next rung.
-        """
-        return None
-
-    def enable_compiled(self, prefix: Optional[int] = None) -> None:
-        """Swap this kernel onto the compiled tier before :meth:`setup`.
-
-        Replaces :meth:`rng` with views over a packed MT19937 pool seeded
-        from the same splitmix64 chain ``Network.node_rng`` uses — the
-        per-node byte streams are bit-identical, which is what keeps the
-        compiled tier golden.  ``prefix`` is the run's node-stream prefix;
-        in-process it is derived from the owning network, while shard
-        workers pass their replica's value explicitly.
-        """
-        from . import compiled as _compiled
-
-        if prefix is None:
-            net = self.net
-            prefix = net._node_stream_prefix(net.seed, net._run_counter, 0)
-        self._rng_pool = _compiled.RngPool(self.arrays.order, prefix)
-        self.rng = self._rng_pool.view  # type: ignore[method-assign]
-        self.compiled = True
-
-    def compiled_step(self, round_number: int) -> int:
-        """One round on the compiled tier; defaults to :meth:`step`.
-
-        With the MT-backed :meth:`rng` facade installed, the audited
-        :meth:`step` is already bit-identical on this tier; kernels
-        override this to run jitted bulk passes over packed state.
-        """
-        return self.step(round_number)
 
     def rng(self, i: int) -> random.Random:
         """Node index ``i``'s private stream (lazily created, persistent).
@@ -546,7 +495,7 @@ class RoundKernel:
     def outputs(self) -> Dict[int, Any]:
         raise NotImplementedError
 
-    # -- sharded fast path hooks (kernel mode of repro.congest.sharding) --
+    # -- sharded fast path hooks (repro.congest.sharding workers) --------
     # A kernel opts in by setting ``shard_words`` and implementing these
     # four against ``self.shard`` (:class:`ShardContext`).  The audited
     # contract: identical outputs, rounds, Metrics, rng streams and error
@@ -591,7 +540,6 @@ class RoundKernel:
         self.setup(shared)
         bus = net.bus
         metrics = net.metrics
-        step = self.compiled_step if self.compiled else self.step
         rounds = 0
         while True:
             if not self.unfinished():
@@ -612,7 +560,7 @@ class RoundKernel:
                     msgs_before = metrics.messages
                     bits_before = metrics.total_bits
                     dropped_before = net.dropped
-            extra = step(rounds + 1)
+            extra = self.step(rounds + 1)
             rounds += 1
             metrics.record_round(protocol, extra)
             if want_round_end:

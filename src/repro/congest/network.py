@@ -142,8 +142,8 @@ class Network:
     ``execution`` selects how protocols run: an
     :class:`~repro.congest.execution.ExecutionPlan` (or a tier name
     shorthand like ``"node"``) naming the highest performance tier the
-    network may use — ``sharded-kernel``, ``kernel``, ``sharded``,
-    ``node`` or ``legacy``; the default plan (``tier="auto"``) engages
+    network may use — ``sharded-kernel``, ``kernel``, ``node`` or
+    ``legacy``; the default plan (``tier="auto"``) engages
     vectorized kernels whenever a protocol registers one and shard
     workers on top when requested or when the auto rules fire.  Use
     :meth:`explain_execution` to see how a plan resolves for a protocol.
@@ -351,18 +351,15 @@ class Network:
         self._live_boxes = []
 
         decision = resolve_execution(self, factory, shared)
-        if decision.tier in ("sharded", "sharded-kernel"):
+        if decision.tier == "sharded-kernel":
             executor = self._sharded_executor(decision.shards)
-            kernel_cls = (decision.kernel_cls
-                          if decision.tier == "sharded-kernel" else None)
             result = executor.execute(factory, protocol, shared, limit,
-                                      on_round_end, kernel_cls=kernel_cls)
+                                      on_round_end,
+                                      kernel_cls=decision.kernel_cls)
             result.metrics = self.metrics.delta_since(before)
             return self._attach_profile(result)
 
-        if decision.tier in ("kernel", "compiled"):
-            if decision.tier == "compiled":
-                decision.kernel.enable_compiled()
+        if decision.tier == "kernel":
             result = decision.kernel.execute(protocol, shared, limit,
                                              on_round_end)
             result.metrics = self.metrics.delta_since(before)
@@ -474,34 +471,6 @@ class Network:
         """
         return self.model.resolve(self, factory, dict(shared or {}),
                                   collect=True)
-
-    def _select_kernel(self, factory: NodeFactory) -> Optional[Any]:
-        """The :class:`~repro.congest.kernels.RoundKernel` instance to run
-        ``factory`` with, or None for per-node dispatch.
-
-        Compatibility shim over :func:`~repro.congest.execution.
-        resolve_execution` restricted to the single-process rungs; the
-        gate-by-gate logic lives there now.
-        """
-        decision = resolve_execution(self, factory, None, skip_sharding=True)
-        if decision.tier == "compiled":
-            decision.kernel.enable_compiled()
-            return decision.kernel
-        return decision.kernel if decision.tier == "kernel" else None
-
-    def _select_sharded(self, factory: NodeFactory,
-                        shared: Dict[str, Any]) -> Optional[Any]:
-        """The :class:`~repro.congest.sharding.ShardedNetwork` executor to
-        run ``factory`` with, or None for single-process execution.
-
-        Compatibility shim over :func:`~repro.congest.execution.
-        resolve_execution`: returns the (cached) executor when the plan
-        resolves to a sharded tier for this run.
-        """
-        decision = resolve_execution(self, factory, shared)
-        if decision.tier not in ("sharded", "sharded-kernel"):
-            return None
-        return self._sharded_executor(decision.shards)
 
     def _sharded_executor(self, k: int) -> Any:
         """The cached :class:`~repro.congest.sharding.ShardedNetwork` for

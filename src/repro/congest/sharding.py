@@ -1,48 +1,40 @@
 """Sharded multi-core execution: partitioned networks with halo exchange.
 
-Large networks are embarrassingly parallel *within* a round: every node's
-transition depends only on its own state and its inbox.  This module
-exploits that by partitioning the graph into ``k`` edge-cut shards
-(:func:`partition_graph`), pinning each shard to a persistent worker
-process, and running every superstep in parallel.  Only messages that
-cross the cut — the **halo** — are exchanged between workers, through
-``multiprocessing.shared_memory`` blocks with a compact binary codec
-(:func:`encode_payload`), so the per-round steady state never touches a
-pickle.  Pickling happens exactly twice per run: the ``(factory, shared)``
-dispatch at the start and the output gather at the end.
+This is the top rung of the CONGEST ladder (``sharded-kernel`` >
+``kernel`` > ``node``).  Large networks are embarrassingly parallel
+*within* a round: every node's transition depends only on its own state
+and its inbox.  This module exploits that by partitioning the graph into
+``k`` edge-cut shards (:func:`partition_graph`), pinning each shard to a
+persistent worker process, and running every superstep in parallel.
+
+Every worker executes its slice of the protocol's registered
+:class:`~repro.congest.kernels.RoundKernel` fast path over the full CSR
+snapshot.  Setup is replicated — per-node rng streams are independent,
+so every worker derives the identical global start state, then only
+advances the nodes it owns.  Only effects that cross the cut — the
+**halo** — are exchanged, as fixed-width int64 *records* in
+``multiprocessing.shared_memory`` blocks.  Peers map those records as
+numpy views built directly on the publisher's block — zero-copy, no
+per-round re-pack (rare oversized integers overflow into a per-segment
+blob in the compact binary codec, :func:`encode_payload`).  Pickling
+happens exactly twice per run: the ``(kernel, shared)`` dispatch at the
+start and the output gather at the end.  See
+:class:`~repro.congest.kernels.ShardContext` for the worker-side
+services and each kernel's ``shard_*`` hooks for the per-protocol
+record layouts.
 
 The executor is **golden-equivalent** to the single-process engine:
 identical outputs, round counts, :class:`~repro.congest.metrics.Metrics`
 (physical account), per-node random streams, structural event stream
 (``RoundStart``/``RoundEnd``) and error behavior, enforced by
-``tests/test_sharding.py``.  Equivalence holds by construction rather
-than by re-derivation: each worker runs the *per-node* reference path
-(real :class:`~repro.congest.node.NodeAlgorithm` instances, engine-order
-delivery, sender-side pricing that replays ``_deliver_batched`` branch
-for branch), and the coordinator replays ``Network.run``'s loop — the
-same termination, quiescence and round-limit rules, the same metric
-recording points, the same event emission points.
-
-Workers serve one of two modes per dispatched run.  **Per-node mode**
-(the description above) replays the reference path with real node
-instances.  **Kernel mode** engages when the registered
-:class:`~repro.congest.kernels.RoundKernel` declares shard hooks
-(``shard_words > 0``): each worker executes its slice of the vectorized
-fast path over the full CSR snapshot (setup is replicated — per-node rng
-streams are independent, so every worker derives the identical global
-start state, then only advances the nodes it owns), and the halo
-carries fixed-width int64 *records* instead of codec-encoded messages.
-Peers map those records as numpy views built directly on the publisher's
-shared-memory block — zero-copy, no per-round re-pack or binary-codec
-round trip (rare oversized integers overflow into a codec side-channel
-blob per segment).  See :class:`~repro.congest.kernels.ShardContext`
-for the worker-side services and each kernel's ``shard_*`` hooks for
-the per-protocol record layouts.
+``tests/test_sharding.py``.  The coordinator replays ``Network.run``'s
+loop — the same termination, quiescence and round-limit rules, the same
+metric recording points, the same event emission points.
 
 Coordination protocol (one reusable cyclic barrier, ``k + 1`` parties)::
 
     per run:   dispatch(pipe) -> setup -> B0(sync)
-    per round: B1(command) -> deliver+publish -> B2(halo) ->
+    per round: B1(command) -> publish -> B2(halo) ->
                absorb+compute -> B3(stats)
     finish:    B1 carries FINISH/ABORT; outputs (or the error) return
                over each worker's pipe.
@@ -56,15 +48,15 @@ Error equivalence: the engine raises the *first* error in global sender
 order position; the coordinator takes the minimum over ``(phase, pos)``
 and re-raises the reconstructed exception — with the engine's exact
 message — while recording exactly what the engine would have recorded
-(nothing for a delivery-phase error; traffic and the round for a
-compute-phase error).
+(nothing for a delivery-phase error; traffic only for a compute-phase
+error).
 
 Shard safety is *declared*, not inferred: a protocol is eligible only
 when its node class has a registered :class:`~repro.congest.kernels.
-RoundKernel` whose ``shardable`` flag is True — the curated promise that
-the node program keeps all state node-local, never mutates ``shared``,
-and sends only plain-data payloads the halo codec can carry (None,
-bools, ints, floats, strings and nested tuples/lists/dicts/sets).
+RoundKernel` with ``shard_words > 0`` — the curated promise that the
+``shard_*`` hooks are golden-equivalent and that the node program keeps
+all state node-local, never mutates ``shared``, and sends only
+plain-data payloads.
 """
 
 from __future__ import annotations
@@ -79,10 +71,6 @@ from collections import deque
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Callable, Dict, List, Optional, Tuple
-
-from . import compiled as _compiled
-from .message import payload_bits_fast
-from .node import BROADCAST, NodeContext
 
 #: Environment variable steering shard selection: unset/empty follows the
 #: constructor and auto rules; ``0``/``off`` disables sharding entirely
@@ -298,7 +286,7 @@ def encode_payload(buf: bytearray, obj: Any) -> None:
     else:
         raise ShardingError(
             f"halo codec cannot encode payload of type {t.__name__}; "
-            f"shardable protocols must send plain data")
+            f"sharded protocols must send plain data")
 
 
 def decode_payload(view: Any, pos: int) -> Tuple[Any, int]:
@@ -361,25 +349,23 @@ _CMD = 0
 _CTRL_WORDS = 1
 
 _S_STATUS = 0          # 0 ok, 1 error pending
-_S_ERR_PHASE = 1       # 0 factory, 1 start, 2 deliver, 3 compute
+_S_ERR_PHASE = 1       # 0 start, 1 deliver, 2 compute
 _S_ERR_POS = 2         # global order index of the erroring node
 _S_MESSAGES = 3
 _S_BITS = 4
 _S_MAX_BITS = 5
 _S_EXTRA = 6           # pipelining charge (max over this worker's messages)
-_S_HALO_BITS = 7       # 8 * encoded halo bytes published this round
+_S_HALO_BITS = 7       # 8 * halo bytes published this round
 _S_ANY_OUT = 8
 _S_ALL_PASSIVE = 9
 _S_ANY_UNFINISHED = 10
 _S_HALO_GEN = 11       # current generation of this worker's halo block
-_S_HALO_RECORDS = 12   # fixed-width records published (kernel mode only)
+_S_HALO_RECORDS = 12   # fixed-width records published this round
 _S_COLS = 13
 
-_PHASE_FACTORY, _PHASE_START, _PHASE_DELIVER, _PHASE_COMPUTE = 0, 1, 2, 3
+_PHASE_START, _PHASE_DELIVER, _PHASE_COMPUTE = 0, 1, 2
 
 _CMD_CONTINUE, _CMD_FINISH, _CMD_ABORT = 0, 1, 2
-
-_HEADER_WORDS_PER_SHARD = 1  # halo header: (k + 1) segment offsets
 
 
 def _attach_shm(name: str) -> shared_memory.SharedMemory:
@@ -419,15 +405,6 @@ class _WorkerSpec:
     timeout: float
 
 
-class _DeliveryFault(Exception):
-    """Internal: wraps the first per-sender error with its global position."""
-
-    def __init__(self, pos: int, error: BaseException) -> None:
-        super().__init__(pos)
-        self.pos = pos
-        self.error = error
-
-
 class _ShardWorker:
     """Per-process shard executor: owns one halo block and one stats row."""
 
@@ -435,34 +412,9 @@ class _ShardWorker:
         self.spec = spec
         self.w = spec.worker
         self.k = spec.k
-        csr = spec.csr
-        self.order = csr.order
-        self.n = len(csr.order)
         self.owner = spec.owner
-        self.policy = spec.policy
-        # static per-node adjacency, rebuilt once from the CSR snapshot
-        # (same construction as Network.__init__, restricted to owned rows
-        # for weights/slots; neighbor ids are global)
-        self.my_indices: List[int] = [
-            i for i in range(self.n) if spec.owner[i] == self.w]
-        self.my_ids: List[int] = [csr.order[i] for i in self.my_indices]
-        self.nbrs: Dict[int, Tuple[int, ...]] = {}
-        self.weights: Dict[int, Dict[int, float]] = {}
-        self.slot_of: Dict[int, Dict[int, int]] = {}
-        order, indptr, indices, weights = (
-            csr.order, csr.indptr, csr.indices, csr.weights)
-        for i in self.my_indices:
-            v = order[i]
-            lo, hi = indptr[i], indptr[i + 1]
-            row = tuple(order[indices[e]] for e in range(lo, hi))
-            self.nbrs[v] = row
-            self.weights[v] = {u: weights[lo + off]
-                               for off, u in enumerate(row)}
-            self.slot_of[v] = {u: off for off, u in enumerate(row)}
-        self.owner_of_id: Dict[int, int] = {
-            order[i]: spec.owner[i] for i in range(self.n)}
-        self.pos_of_id: Dict[int, int] = {
-            v: i for i, v in enumerate(order)}
+        self.my_indices: Tuple[int, ...] = tuple(
+            i for i in range(len(spec.csr.order)) if spec.owner[i] == self.w)
         self._charge_cache: Dict[int, int] = {}
         from ..dist.random_tools import (
             node_seed_from_prefix,
@@ -483,8 +435,8 @@ class _ShardWorker:
             size=self.halo_cap)
         self.peer_halo: List[Optional[Tuple[int, Any]]] = [None] * self.k
         self._stat_base = _CTRL_WORDS + self.w * _S_COLS
-        # kernel-mode caches (built on first kernel dispatch, reused
-        # across runs; rebuilt if the numpy backend flips)
+        # kernel caches (built on first dispatch, reused across runs;
+        # rebuilt if the numpy backend flips)
         self._arrays: Optional[Any] = None
         self._kernel_ctx: Optional[Any] = None
 
@@ -500,96 +452,9 @@ class _ShardWorker:
             self._rng_prefix = (run_counter, prefix)
         return random.Random(self._node_seed_from_prefix(prefix, node_id))
 
-    def charge(self, bits: int, sender: int, receiver: int) -> int:
-        cache = self._charge_cache
-        charge = cache.get(bits, -1)
-        if charge < 0:
-            charge = self.policy.charge(bits, self.n, sender, receiver)
-            cache[bits] = charge
-        return charge
-
     def stat(self, col: int, value: int) -> None:
         self.words[self._stat_base + col] = value
 
-    def _publish_halo(self, staged: List[bytearray]) -> int:
-        """Write per-destination segments into my halo block; return bits."""
-        k = self.k
-        header = 8 * (k + 1)
-        total = sum(len(s) for s in staged)
-        need = header + total
-        if need > self.halo_cap:
-            new_cap = max(self.halo_cap * 2, need)
-            self.halo_gen += 1
-            fresh = shared_memory.SharedMemory(
-                name=_halo_name(self.spec.base, self.w, self.halo_gen),
-                create=True, size=new_cap)
-            # peers are never reading between the command and halo
-            # barriers, so the old generation can be retired immediately
-            # (existing mappings stay valid until they close it)
-            self.halo.unlink()
-            self.halo.close()
-            self.halo = fresh
-            self.halo_cap = new_cap
-        buf = self.halo.buf
-        offsets = memoryview(buf)[:header].cast("q")
-        pos = 0
-        offsets[0] = 0
-        for d in range(k):
-            segment = staged[d]
-            if segment:
-                buf[header + pos:header + pos + len(segment)] = segment
-                pos += len(segment)
-            offsets[d + 1] = pos
-        offsets.release()
-        self.stat(_S_HALO_GEN, self.halo_gen)
-        return 8 * total
-
-    def _absorb_halo(self, inboxes: Dict[int, Dict[int, Any]]) -> None:
-        """Merge peers' segments for me into ``inboxes``, engine order.
-
-        The engine inserts inbox entries in ascending global sender order;
-        local delivery preserved that for local senders, so any target
-        that also received remote mail gets its box rebuilt from the
-        sorted union.
-        """
-        remote: Dict[int, List[Tuple[int, Any]]] = {}
-        for p in range(self.k):
-            if p == self.w:
-                continue
-            gen = self.words[_CTRL_WORDS + p * _S_COLS + _S_HALO_GEN]
-            cached = self.peer_halo[p]
-            if cached is None or cached[0] != gen:
-                if cached is not None:
-                    cached[1].close()
-                shm = _attach_shm(_halo_name(self.spec.base, p, gen))
-                self.peer_halo[p] = (gen, shm)
-            else:
-                shm = cached[1]
-            buf = shm.buf
-            header = 8 * (self.k + 1)
-            offsets = memoryview(buf)[:header].cast("q")
-            lo, hi = offsets[self.w], offsets[self.w + 1]
-            offsets.release()
-            if lo == hi:
-                continue
-            view = memoryview(buf)[header + lo:header + hi]
-            pos = 0
-            end = hi - lo
-            while pos < end:
-                (sender,) = _unpack_q(view, pos)
-                (target,) = _unpack_q(view, pos + 8)
-                pos += 16
-                payload, pos = decode_payload(view, pos)
-                remote.setdefault(target, []).append((sender, payload))
-            view.release()
-        for target, pairs in remote.items():
-            box = inboxes.get(target)
-            if box:
-                pairs.extend(box.items())
-            pairs.sort(key=lambda sp: sp[0])
-            inboxes[target] = dict(pairs)
-
-    # -- kernel mode -----------------------------------------------------
     def _kernel_context(self) -> Any:
         """The cached :class:`~repro.congest.kernels.ShardContext` for this
         worker (static translation tables persist across runs; per-run
@@ -604,46 +469,33 @@ class _ShardWorker:
         ctx = self._kernel_ctx
         if ctx is None:
             ctx = _kernels.ShardContext(
-                arrays, self.w, self.k, self.owner,
-                tuple(self.my_indices), self.policy, self._charge_cache)
+                arrays, self.w, self.k, self.owner, self.my_indices,
+                self.spec.policy, self._charge_cache)
             self._kernel_ctx = ctx
         return ctx
 
-    def run_kernel_protocol(self, barrier: Any, conn: Any, kernel_cls: Any,
-                            shared: Dict[str, Any],
-                            run_counter: int) -> None:
+    # -- one protocol run ----------------------------------------------
+    def run_protocol(self, barrier: Any, conn: Any, kernel_cls: Any,
+                     shared: Dict[str, Any], run_counter: int) -> None:
         """Serve one run on the vectorized kernel fast path.
 
-        Mirrors :meth:`run_protocol` barrier-for-barrier so kernel-mode
-        and per-node workers are interchangeable from the coordinator's
-        point of view; only the per-round body differs (array publish /
-        apply instead of per-node deliver / compute).
+        Follows the coordination protocol barrier for barrier: replicated
+        setup, then per round publish -> exchange -> apply, reporting the
+        traffic and termination flags in this worker's stats row.
         """
         timeout = self.spec.timeout
         error: Optional[Tuple[int, int, BaseException]] = None
         ctx = self._kernel_context()
         ctx.node_rng = lambda node_id: self.node_rng(run_counter, node_id)
-        ctx.record_width = getattr(kernel_cls, "shard_words", 1) or 1
+        ctx.record_width = kernel_cls.shard_words
         kernel = None
         try:
             kernel = kernel_cls.shard_build(ctx)
-            # compiled pickup: same gates the in-process resolver applies
-            # (audited kernel, numba importable, env not vetoed, legacy
-            # additive streams off, no instance veto).  Purely a worker-
-            # local speedup — the packed MT pool replays the identical
-            # per-node bit streams, so outputs/metrics cannot move.
-            if (getattr(kernel_cls, "compiled_audited", False)
-                    and not self.spec.rng_additive
-                    and _compiled.compiled_enabled()
-                    and _compiled.unavailable_reason() is None
-                    and kernel.compiled_why(dict(shared)) is None):
-                kernel.enable_compiled(self._node_stream_prefix(
-                    self.spec.seed, run_counter, 0))
             kernel.shard_setup(dict(shared))
         except BaseException as exc:
             pos = getattr(kernel, "shard_pos", 0) if kernel else 0
             error = (_PHASE_START, pos, exc)
-        self._write_kernel_stats(kernel, ctx, error, 0, 0, 0)
+        self._write_stats(kernel, ctx, error, 0, 0, 0)
         barrier.wait(timeout)  # B0: setup done, flags readable
         views: List[Any] = []
         rounds = 0
@@ -671,7 +523,7 @@ class _ShardWorker:
                     except BaseException as exc:
                         error = (_PHASE_DELIVER, kernel.shard_pos, exc)
                         ctx.clear_staged()
-                halo_bits, halo_records = self._publish_kernel_halo(ctx)
+                halo_bits, halo_records = self._publish_halo(ctx)
                 barrier.wait(timeout)  # B2: every halo block published
                 if error is None:
                     try:
@@ -682,17 +534,16 @@ class _ShardWorker:
                 rounds += 1
                 ctx.incoming = []
                 self._release_views(views)
-                self._write_kernel_stats(kernel, ctx, error, extra,
-                                         halo_bits, halo_records)
+                self._write_stats(kernel, ctx, error, extra, halo_bits,
+                                  halo_records)
                 barrier.wait(timeout)  # B3: stats row readable
         finally:
             ctx.incoming = []
             ctx.node_rng = None
             self._release_views(views)
 
-    def _write_kernel_stats(self, kernel: Any, ctx: Any, error: Any,
-                            extra: int, halo_bits: int,
-                            halo_records: int) -> None:
+    def _write_stats(self, kernel: Any, ctx: Any, error: Any, extra: int,
+                     halo_bits: int, halo_records: int) -> None:
         if error is not None:
             self.stat(_S_STATUS, 1)
             self.stat(_S_ERR_PHASE, error[0])
@@ -715,7 +566,7 @@ class _ShardWorker:
             self.stat(_S_ALL_PASSIVE, 1 if kernel.passive else 0)
             self.stat(_S_ANY_UNFINISHED, 1 if kernel.unfinished() else 0)
 
-    def _publish_kernel_halo(self, ctx: Any) -> Tuple[int, int]:
+    def _publish_halo(self, ctx: Any) -> Tuple[int, int]:
         """Write staged kernel records into my halo block; return
         ``(halo_bits, record_count)``.
 
@@ -751,6 +602,9 @@ class _ShardWorker:
             fresh = shared_memory.SharedMemory(
                 name=_halo_name(self.spec.base, self.w, self.halo_gen),
                 create=True, size=new_cap)
+            # peers are never reading between the command and halo
+            # barriers, so the old generation can be retired immediately
+            # (existing mappings stay valid until they close it)
             self.halo.unlink()
             self.halo.close()
             self.halo = fresh
@@ -761,32 +615,19 @@ class _ShardWorker:
         offsets[0] = 0
         records = 0
         width = ctx.record_width
-        # native codec: with numba live, segments are written by the
-        # jitted packer straight into a uint8 view of the halo block
-        # (bit-identical layout to the struct path — pinned by tests)
-        np8 = None
-        if _compiled._numba is not None and _compiled.np is not None:
-            np8 = _compiled.np.frombuffer(buf, dtype=_compiled.np.uint8)
         for d in range(k):
             size = seg_sizes[d]
             if size:
                 words = staged_words[d]
                 blob = staged_blobs[d]
                 base = header + pos
-                if np8 is not None:
-                    _np = _compiled.np
-                    _compiled.pack_segment(
-                        np8, base,
-                        _np.frombuffer(words, dtype=_np.int64),
-                        _np.frombuffer(blob, dtype=_np.uint8))
-                else:
-                    buf[base:base + 8] = _pack_q(len(words))
-                    raw = words.tobytes()
-                    buf[base + 8:base + 8 + len(raw)] = raw
-                    tail = base + 8 + len(raw)
-                    buf[tail:tail + 8] = _pack_q(len(blob))
-                    if blob:
-                        buf[tail + 8:tail + 8 + len(blob)] = blob
+                buf[base:base + 8] = _pack_q(len(words))
+                raw = words.tobytes()
+                buf[base + 8:base + 8 + len(raw)] = raw
+                tail = base + 8 + len(raw)
+                buf[tail:tail + 8] = _pack_q(len(blob))
+                if blob:
+                    buf[tail + 8:tail + 8 + len(blob)] = blob
                 records += len(words) // width
                 pos += size
             offsets[d + 1] = pos
@@ -853,222 +694,6 @@ class _ShardWorker:
                 pass
         views.clear()
 
-    # -- one protocol run ----------------------------------------------
-    def run_protocol(self, barrier: Any, conn: Any, factory: Callable,
-                     shared: Dict[str, Any], run_counter: int) -> None:
-        timeout = self.spec.timeout
-        error: Optional[Tuple[int, int, BaseException]] = None
-        algorithms: Dict[int, Any] = {}
-        outboxes: Dict[int, Dict[Any, Any]] = {}
-        unfinished: List[int] = []
-        shared = dict(shared)
-        # setup: the engine runs every factory, then every start()
-        try:
-            for i, v in zip(self.my_indices, self.my_ids):
-                ctx = NodeContext(
-                    node_id=v, neighbors=self.nbrs[v],
-                    edge_weights=self.weights[v], n=self.n,
-                    rng=self.node_rng(run_counter, v), shared=shared)
-                algorithms[v] = factory(ctx)
-        except BaseException as exc:
-            error = (_PHASE_FACTORY, self.my_indices[len(algorithms)], exc)
-        if error is None:
-            try:
-                for i, v in zip(self.my_indices, self.my_ids):
-                    alg = algorithms[v]
-                    out = alg.start()
-                    if out:
-                        outboxes[v] = out
-                    if not alg.finished:
-                        unfinished.append(v)
-            except BaseException as exc:
-                error = (_PHASE_START, i, exc)
-        self._write_round_stats(error, 0, 0, 0, 0, 0,
-                                outboxes, algorithms, unfinished)
-        barrier.wait(timeout)  # B0: setup done, flags readable
-        while True:
-            barrier.wait(timeout)  # B1: command word readable
-            cmd = self.words[_CMD]
-            if cmd == _CMD_FINISH:
-                conn.send(("ok", {v: algorithms[v].output
-                                  for v in self.my_ids}))
-                return
-            if cmd == _CMD_ABORT:
-                if error is not None:
-                    phase, pos, exc = error
-                    conn.send(("err", phase, pos,
-                               type(exc).__name__, str(exc)))
-                else:
-                    conn.send(("aborted",))
-                return
-            # one round: deliver -> publish -> absorb -> compute
-            staged: List[bytearray] = [bytearray() for _ in range(self.k)]
-            inboxes: Dict[int, Dict[int, Any]] = {}
-            messages = bits_sum = max_bits = extra = 0
-            try:
-                messages, bits_sum, max_bits, extra = self._deliver(
-                    outboxes, staged, inboxes)
-            except _DeliveryFault as fault:
-                error = (_PHASE_DELIVER, fault.pos, fault.error)
-                staged = [bytearray() for _ in range(self.k)]
-            halo_bits = self._publish_halo(staged)
-            barrier.wait(timeout)  # B2: every halo block published
-            if error is None:
-                self._absorb_halo(inboxes)
-                outboxes.clear()
-                still_active: List[int] = []
-                try:
-                    for v in unfinished:
-                        alg = algorithms[v]
-                        out = alg.on_round(inboxes.get(v, _EMPTY_INBOX))
-                        if out:
-                            outboxes[v] = out
-                        if not alg.finished:
-                            still_active.append(v)
-                    unfinished = still_active
-                except BaseException as exc:
-                    error = (_PHASE_COMPUTE, self.pos_of_id[v], exc)
-            self._write_round_stats(error, messages, bits_sum, max_bits,
-                                    extra, halo_bits, outboxes, algorithms,
-                                    unfinished)
-            barrier.wait(timeout)  # B3: stats row readable
-
-    def _write_round_stats(self, error, messages, bits_sum, max_bits,
-                           extra, halo_bits, outboxes, algorithms,
-                           unfinished) -> None:
-        if error is not None:
-            self.stat(_S_STATUS, 1)
-            self.stat(_S_ERR_PHASE, error[0])
-            self.stat(_S_ERR_POS, error[1])
-        else:
-            self.stat(_S_STATUS, 0)
-        self.stat(_S_MESSAGES, messages)
-        self.stat(_S_BITS, bits_sum)
-        self.stat(_S_MAX_BITS, max_bits)
-        self.stat(_S_EXTRA, extra)
-        self.stat(_S_HALO_BITS, halo_bits)
-        self.stat(_S_HALO_RECORDS, 0)
-        self.stat(_S_ANY_OUT, 1 if outboxes else 0)
-        self.stat(_S_ALL_PASSIVE,
-                  1 if all(algorithms[v].passive for v in unfinished) else 0)
-        self.stat(_S_ANY_UNFINISHED, 1 if unfinished else 0)
-
-    def _deliver(self, outboxes: Dict[int, Dict[Any, Any]],
-                 staged: List[bytearray],
-                 inboxes: Dict[int, Dict[int, Any]],
-                 ) -> Tuple[int, int, int, int]:
-        """Sender-side delivery: ``_deliver_batched`` branch for branch.
-
-        Local targets land in ``inboxes``; cut-edge targets are encoded
-        into ``staged[destination_shard]``.  Every message is priced by
-        its sender's worker, so sums/maxima over workers equal the
-        engine's single-pass totals exactly.  The first per-sender error
-        is wrapped in :class:`_DeliveryFault` with the sender's global
-        order position.
-        """
-        messages = bits_sum = max_bits = extra = 0
-        w = self.w
-        owner_of = self.owner_of_id
-        from .network import ProtocolError
-
-        for i, sender in zip(self.my_indices, self.my_ids):
-            out = outboxes.get(sender)
-            if not out:
-                continue
-            try:
-                nbrs = self.nbrs[sender]
-                if BROADCAST in out:
-                    if len(out) == 1:
-                        # pure broadcast: price once, deliver the row
-                        if not nbrs:
-                            continue
-                        payload = out[BROADCAST]
-                        bits = payload_bits_fast(payload)
-                        charge = self.charge(bits, sender, nbrs[0])
-                        if charge > extra:
-                            extra = charge
-                        messages += len(nbrs)
-                        bits_sum += bits * len(nbrs)
-                        if bits > max_bits:
-                            max_bits = bits
-                        encoded: Optional[bytearray] = None
-                        for u in nbrs:
-                            d = owner_of[u]
-                            if d == w:
-                                inboxes.setdefault(u, {})[sender] = payload
-                            else:
-                                if encoded is None:
-                                    encoded = bytearray()
-                                    encode_payload(encoded, payload)
-                                seg = staged[d]
-                                seg += _pack_q(sender)
-                                seg += _pack_q(u)
-                                seg += encoded
-                        continue
-                    # mixed broadcast + unicast: expand into slot order so
-                    # later entries overwrite earlier ones exactly as the
-                    # engine's slot scratch does
-                    slots: List[Any] = [_UNSET] * len(nbrs)
-                    slot_of = self.slot_of[sender]
-                    for target, payload in out.items():
-                        if target == BROADCAST:
-                            for off in range(len(nbrs)):
-                                slots[off] = payload
-                        else:
-                            off = slot_of.get(target)
-                            if off is None:
-                                raise ProtocolError(
-                                    f"node {sender} tried to message "
-                                    f"non-neighbor {target}")
-                            slots[off] = payload
-                    for off, payload in enumerate(slots):
-                        if payload is _UNSET:
-                            continue
-                        target = nbrs[off]
-                        bits = payload_bits_fast(payload)
-                        charge = self.charge(bits, sender, target)
-                        if charge > extra:
-                            extra = charge
-                        messages += 1
-                        bits_sum += bits
-                        if bits > max_bits:
-                            max_bits = bits
-                        d = owner_of[target]
-                        if d == w:
-                            inboxes.setdefault(target, {})[sender] = payload
-                        else:
-                            seg = staged[d]
-                            seg += _pack_q(sender)
-                            seg += _pack_q(target)
-                            encode_payload(seg, payload)
-                    continue
-                # unicast-only: validate and price in insertion order
-                slot_of = self.slot_of[sender]
-                for target, payload in out.items():
-                    if target not in slot_of:
-                        raise ProtocolError(
-                            f"node {sender} tried to message non-neighbor "
-                            f"{target}")
-                    bits = payload_bits_fast(payload)
-                    charge = self.charge(bits, sender, target)
-                    if charge > extra:
-                        extra = charge
-                    messages += 1
-                    bits_sum += bits
-                    if bits > max_bits:
-                        max_bits = bits
-                    d = owner_of[target]
-                    if d == w:
-                        inboxes.setdefault(target, {})[sender] = payload
-                    else:
-                        seg = staged[d]
-                        seg += _pack_q(sender)
-                        seg += _pack_q(target)
-                        encode_payload(seg, payload)
-            except BaseException as exc:
-                raise _DeliveryFault(i, exc) from exc
-        return messages, bits_sum, max_bits, extra
-
     def close(self) -> None:
         self.words.release()
         self.meta.close()
@@ -1087,10 +712,6 @@ class _ShardWorker:
         self.halo.close()
 
 
-_UNSET = object()
-_EMPTY_INBOX: Dict[int, Any] = {}
-
-
 def _shard_worker_main(spec: _WorkerSpec, barrier: Any, conn: Any) -> None:
     """Worker process entry point: serve protocol runs until closed."""
     from threading import BrokenBarrierError
@@ -1104,14 +725,10 @@ def _shard_worker_main(spec: _WorkerSpec, barrier: Any, conn: Any) -> None:
                 break
             if not cmd or cmd[0] != "run":
                 break
-            _, factory, protocol, shared, run_counter, kernel_cls = cmd
+            _, kernel_cls, shared, run_counter = cmd
             try:
-                if kernel_cls is not None:
-                    worker.run_kernel_protocol(barrier, conn, kernel_cls,
-                                               shared, run_counter)
-                else:
-                    worker.run_protocol(barrier, conn, factory, shared,
-                                        run_counter)
+                worker.run_protocol(barrier, conn, kernel_cls, shared,
+                                    run_counter)
             except BrokenBarrierError:
                 break  # the coordinator tore the pool down mid-run
     finally:
@@ -1365,12 +982,12 @@ class ShardedNetwork:
     def execute(self, factory: Callable, protocol: str,
                 shared: Dict[str, Any], limit: int,
                 on_round_end: Optional[Callable[[int, Any], None]],
-                kernel_cls: Any = None) -> Any:
+                kernel_cls: Any) -> Any:
         """Run one protocol across the shard pool, engine-identically.
 
-        ``kernel_cls`` switches the workers to the vectorized kernel
-        fast path (:meth:`_ShardWorker.run_kernel_protocol`); None runs
-        the per-node reference mode.  One pool serves both modes.
+        ``kernel_cls`` is the :class:`~repro.congest.kernels.RoundKernel`
+        registered for ``factory``; every worker runs its ``shard_*``
+        hooks (:meth:`_ShardWorker.run_protocol`).
         """
         if self.broken or self._closed:
             raise ShardingError("sharded executor is closed")
@@ -1379,17 +996,17 @@ class ShardedNetwork:
         metrics.record_shard_run(self.partition.cut_edges,
                                  self.partition.imbalance)
         try:
-            return self._execute_dispatched(factory, protocol, shared,
-                                            limit, on_round_end, kernel_cls)
+            return self._execute_dispatched(protocol, shared, limit,
+                                            on_round_end, kernel_cls)
         except BaseException:
             self._recover_after_error()
             raise
 
-    def _execute_dispatched(self, factory: Callable, protocol: str,
-                            shared: Dict[str, Any], limit: int,
+    def _execute_dispatched(self, protocol: str, shared: Dict[str, Any],
+                            limit: int,
                             on_round_end: Optional[Callable[[int, Any],
                                                             None]],
-                            kernel_cls: Any = None) -> Any:
+                            kernel_cls: Any) -> Any:
         from ..observe.events import ROUND_END, ROUND_START, RoundEnd, RoundStart
         from .network import ProtocolError, RunResult
 
@@ -1397,8 +1014,7 @@ class ShardedNetwork:
         metrics = net.metrics
         self._run_state = "dispatch"
         for conn in self._conns:
-            conn.send(("run", factory, protocol, shared, net._run_counter,
-                       kernel_cls))
+            conn.send(("run", kernel_cls, shared, net._run_counter))
         self._run_state = "running"
         self._wait()  # B0: workers set up, flags readable
         rows = [self._stats_row(w) for w in range(self.k)]
@@ -1443,19 +1059,14 @@ class ShardedNetwork:
                 max(r[_S_MAX_BITS] for r in rows))
             metrics.record_halo_bits(sum(r[_S_HALO_BITS] for r in rows),
                                      sum(r[_S_HALO_RECORDS] for r in rows))
-            if error is not None and kernel_cls is not None:
-                # kernel-mode compute error: the in-process kernel raises
-                # out of step() after the traffic fold but before the
-                # round is counted — record traffic only
+            if error is not None:
+                # compute-phase error: the in-process kernel raises out
+                # of step() after the traffic fold but before the round
+                # is counted — record traffic only
                 self._raise_run_error(error)
             rounds += 1
             metrics.record_round(protocol,
                                  max(r[_S_EXTRA] for r in rows))
-            if error is not None:
-                # per-node compute-phase error: traffic and the round are
-                # already recorded (the engine raises after record_round,
-                # before RoundEnd and the hook)
-                self._raise_run_error(error)
             if want_round_end:
                 bus.emit(RoundEnd(
                     protocol=protocol, round=rounds,
@@ -1517,15 +1128,10 @@ def resolve_shards(net: Any) -> Optional[int]:
     plan honors the environment) beats everything; a forced environment
     count beats the plan; ``shards=0`` in the plan (or the legacy kwarg)
     disables sharding just like the environment kill switch; ``shards=k``
-    forces ``k``; a shard-flavored tier (``sharded-kernel``/``sharded``,
-    including the ``engine="sharded"`` shim) opts in with the default
-    count; otherwise auto-sharding engages for large networks
-    (>= :data:`AUTO_SHARD_MIN_NODES` nodes) on multi-core machines.
-
-    Since shard workers run the vectorized kernel fast path themselves
-    (kernel mode), auto-sharding no longer defers to the in-process
-    kernel when kernels are enabled — the tiers compose instead of
-    competing.
+    forces ``k``; the ``sharded-kernel`` tier (including the
+    ``engine="sharded"`` shim) opts in with the default count; otherwise
+    auto-sharding engages for large networks (>=
+    :data:`AUTO_SHARD_MIN_NODES` nodes) on multi-core machines.
     """
     plan = getattr(net, "execution_plan", None)
     if plan is None or plan.env_overrides:
@@ -1541,7 +1147,7 @@ def resolve_shards(net: Any) -> Optional[int]:
     if requested is not None:
         return max(1, requested)
     tier = plan.tier if plan is not None else "auto"
-    if tier in ("sharded", "sharded-kernel") or net.engine == "sharded":
+    if tier == "sharded-kernel" or net.engine == "sharded":
         return max(1, min(MAX_AUTO_SHARDS, os.cpu_count() or 1))
     if tier != "auto":
         return None

@@ -1,9 +1,9 @@
 """Execution plans: one inspectable config for how a Network runs.
 
-The engine grew four performance tiers (vectorized kernels inside shard
-workers, in-process kernels, per-node shard workers, per-node dispatch)
-plus a legacy reference engine, and historically five knobs steered them:
-``engine=``, ``shards=``, ``REPRO_NO_KERNELS``, ``REPRO_SHARDS`` and
+The engine has three performance tiers (vectorized kernels inside shard
+workers, in-process kernels, per-node dispatch) plus a legacy reference
+engine, and historically five knobs steered them: ``engine=``,
+``shards=``, ``REPRO_NO_KERNELS``, ``REPRO_SHARDS`` and
 ``REPRO_LEGACY_ENGINE``, with implicit precedence between them.  This
 module replaces that ladder's *interface* with a single frozen config
 object, :class:`ExecutionPlan`, accepted as ``Network(execution=...)``
@@ -16,25 +16,22 @@ and ``repro.run(execution=...)``:
 the ladder when a rung is ineligible (exactly like the historical silent
 fallbacks).  The rungs, fastest first::
 
-    compiled         numba-jitted RoundKernel hot path, single process
     sharded-kernel   RoundKernel array fast path inside shard workers
     kernel           RoundKernel fast path, single process
-    sharded          per-node dispatch inside shard workers
     node             per-node dispatch, single process (the reference)
-    legacy           the original per-message dict engine
 
-The ``compiled`` rung engages only when numba is importable (the
-``repro[compiled]`` extra), the selected kernel declares itself
-``compiled_audited`` and ``REPRO_NO_COMPILED`` is unset; otherwise it
-falls through silently, exactly like every rung before it.
+``legacy`` (the original per-message dict engine) sits outside the
+ladder: it runs only when a plan pins it, as the reference the golden
+tests compare every rung against.
 
 ``tier="auto"`` (the default) applies the auto rules: kernels whenever a
 protocol registers one, sharding on top when requested or when the
 network is large and the machine multi-core.  ``shards=None`` follows
 the auto rules, ``shards=0`` is the kill switch (never shard — same
 semantics as ``REPRO_SHARDS=0``), ``shards=k`` forces ``k`` workers.
-``kernels=False`` excludes both kernel tiers.  ``env_overrides=False``
-makes the plan ignore ``REPRO_NO_KERNELS``/``REPRO_SHARDS`` at run time
+``kernels=False`` excludes both kernel tiers — and with them sharding,
+since shard workers only run kernels.  ``env_overrides=False`` makes the
+plan ignore ``REPRO_NO_KERNELS``/``REPRO_SHARDS`` at run time
 (``REPRO_LEGACY_ENGINE`` is a construction-time default and only affects
 networks built without an explicit plan or engine).
 
@@ -61,7 +58,7 @@ from ..observe.events import MESSAGE_DELIVERED
 #: shims and goldens pin it — but plans are validated against
 #: :data:`ALL_TIERS`, which also covers the per-model rungs of other
 #: computation models.
-TIERS = ("compiled", "sharded-kernel", "kernel", "sharded", "node", "legacy")
+TIERS = ("sharded-kernel", "kernel", "node", "legacy")
 
 #: The MPC model's ladder, fastest first: whole-cluster array passes
 #: over packed machine ledgers, then the per-machine reference path.
@@ -72,19 +69,15 @@ MPC_TIERS = ("mpc_kernel", "node")
 #: Every tier name any registered computation model can resolve to.  A
 #: plan may name any of these; *which* of them a concrete run accepts is
 #: the model's call (:meth:`~repro.models.base.ComputationModel.check_plan`).
-ALL_TIERS = ("compiled", "sharded-kernel", "kernel", "sharded",
-             "mpc_kernel", "node", "legacy")
+ALL_TIERS = ("sharded-kernel", "kernel", "mpc_kernel", "node", "legacy")
 
 #: The rungs each plan tier may resolve to, in preference order.  A tier
-#: is a *ceiling with a sensible floor*: explicitly asking for a kernel
-#: tier never silently spawns worker processes, and explicitly asking
-#: for a sharded tier without kernels never re-enables them.
+#: is a *ceiling*: explicitly asking for the in-process kernel tier
+#: never silently spawns worker processes.
 _LADDER: Dict[str, Tuple[str, ...]] = {
-    "auto": ("compiled", "sharded-kernel", "kernel", "sharded", "node"),
-    "compiled": ("compiled", "kernel", "node"),
-    "sharded-kernel": ("sharded-kernel", "kernel", "sharded", "node"),
+    "auto": ("sharded-kernel", "kernel", "node"),
+    "sharded-kernel": ("sharded-kernel", "kernel", "node"),
     "kernel": ("kernel", "node"),
-    "sharded": ("sharded", "node"),
     "node": ("node",),
     "legacy": ("legacy",),
 }
@@ -102,7 +95,7 @@ MPC_LADDER: Dict[str, Tuple[str, ...]] = {
 class ExecutionPlan:
     """Frozen description of how protocols on a network should execute.
 
-    ``tier`` — ``"auto"`` or one of :data:`TIERS`: the highest rung this
+    ``tier`` — ``"auto"`` or one of :data:`ALL_TIERS`: the highest rung this
     plan allows (resolution falls down the ladder when a rung is
     ineligible for a given run).  ``shards`` — None follows the auto
     rules, ``0`` disables sharding entirely (the kwarg kill switch,
@@ -124,13 +117,17 @@ class ExecutionPlan:
                 f"of {', '.join(ALL_TIERS)}")
         if self.shards is not None and self.shards < 0:
             raise ValueError("shards must be >= 0 (0 disables sharding)")
-        if self.shards and self.tier in ("compiled", "kernel", "mpc_kernel",
-                                         "node", "legacy"):
+        if self.shards and self.tier in ("kernel", "mpc_kernel", "node",
+                                         "legacy"):
             raise ValueError(
                 f"tier {self.tier!r} never shards; drop shards= or pick "
-                f"'auto', 'sharded-kernel' or 'sharded'")
-        if not self.kernels and self.tier in ("compiled", "kernel",
-                                              "sharded-kernel", "mpc_kernel"):
+                f"'auto' or 'sharded-kernel'")
+        if self.shards and not self.kernels:
+            raise ValueError(
+                "kernels=False never shards (shard workers only run "
+                "kernels); drop shards= or kernels=False")
+        if not self.kernels and self.tier in ("kernel", "sharded-kernel",
+                                              "mpc_kernel"):
             raise ValueError(
                 f"kernels=False contradicts tier {self.tier!r}")
 
@@ -167,7 +164,7 @@ class ExecutionPlan:
             return "legacy"
         if self.tier == "node":
             return "node"
-        if self.tier in ("sharded", "sharded-kernel"):
+        if self.tier == "sharded-kernel":
             return "sharded"
         return "csr"
 
@@ -200,14 +197,12 @@ class ExecutionDecision:
 
 def resolve_execution(net: Any, factory: Any = None,
                       shared: Optional[Dict[str, Any]] = None,
-                      collect: bool = False,
-                      skip_sharding: bool = False) -> ExecutionDecision:
+                      collect: bool = False) -> ExecutionDecision:
     """Resolve ``net``'s plan for one run of ``factory``.
 
     The single source of truth behind ``Network.run``'s dispatch and
     ``Network.explain_execution``'s report.  ``collect=True`` records a
-    reason per considered rung; ``skip_sharding=True`` restricts the
-    ladder to single-process rungs (the ``_select_kernel`` compat shim).
+    reason per considered rung.
     """
     plan: ExecutionPlan = net.execution_plan
     reasons: List[str] = []
@@ -218,7 +213,7 @@ def resolve_execution(net: Any, factory: Any = None,
 
     model_name = getattr(getattr(net, "model", None), "name", "congest")
     say(f"model '{model_name}': resolving plan tier '{plan.tier}' on the "
-        f"CONGEST execution ladder ({' > '.join(TIERS)})")
+        f"CONGEST execution ladder ({' > '.join(_LADDER['auto'])})")
 
     def done(tier: str, shards: Optional[int] = None,
              kernel: Any = None, kernel_cls: Any = None,
@@ -238,12 +233,6 @@ def resolve_execution(net: Any, factory: Any = None,
             "keeps batched delivery but forces per-node dispatch)")
         return done("node")
 
-    ladder = _LADDER[plan.tier]
-    if skip_sharding:
-        ladder = tuple(t for t in ladder
-                       if t not in ("sharded", "sharded-kernel"))
-
-    from ..congest import compiled as _compiled
     from ..congest import kernels as _kernels
     from ..congest.policies import BandwidthPolicy
 
@@ -257,17 +246,15 @@ def resolve_execution(net: Any, factory: Any = None,
             "pure-python fallback")
 
     # -- kernel availability (both kernel tiers) ------------------------
-    kernels_on = plan.kernels
     kernels_off_why = None
-    if not kernels_on:
+    if not plan.kernels:
         kernels_off_why = "the plan excludes kernels (kernels=False)"
     elif plan.env_overrides and not _kernels.kernels_enabled():
-        kernels_on = False
         kernels_off_why = f"{_kernels.NO_KERNELS_ENV} disables kernels"
 
     kernel_cls = _kernels.kernel_for(factory) if factory is not None else None
 
-    # -- gates shared by every fast tier --------------------------------
+    # -- gates shared by both kernel tiers ------------------------------
     base_why = None
     if net._fault_rng is not None:
         base_why = "fault injection needs real per-node inboxes"
@@ -293,27 +280,10 @@ def resolve_execution(net: Any, factory: Any = None,
                 kernel_why = (f"{kernel_cls.__name__}.accepts() vetoed "
                               f"this run")
 
-    # -- compiled eligibility (sits on top of the kernel gates) ---------
-    compiled_why = kernel_why
-    if compiled_why is None:
-        if plan.env_overrides and not _compiled.compiled_enabled():
-            compiled_why = (f"{_compiled.NO_COMPILED_ENV} disables the "
-                            f"compiled tier")
-        else:
-            compiled_why = _compiled.unavailable_reason()
-    if compiled_why is None:
-        if getattr(net, "_rng_additive", False):
-            compiled_why = ("REPRO_ADDITIVE_NODE_RNG pins the legacy "
-                            "additive rng streams")
-        elif not getattr(kernel_cls, "compiled_audited", False):
-            compiled_why = (f"{kernel_cls.__name__} is not compiled-audited")
-        else:
-            compiled_why = kernel.compiled_why(dict(shared) if shared else {})
-
-    # -- shard eligibility (both sharded tiers) -------------------------
+    # -- shard eligibility (sharded-kernel only: needs the kernel) ------
     k = None
-    shard_why = base_why
-    if shard_why is None and not skip_sharding:
+    shard_why = None
+    if kernel is not None and "sharded-kernel" in _LADDER[plan.tier]:
         from ..congest import sharding as _sharding
 
         k = _sharding.resolve_shards(net)
@@ -323,15 +293,10 @@ def resolve_execution(net: Any, factory: Any = None,
                          "the auto rules did not fire — they need "
                          f">= {_sharding.AUTO_SHARD_MIN_NODES} nodes and "
                          f">= 2 cores, with no kill switch set)")
-        elif kernel_cls is None:
-            name = (getattr(factory, "__name__", None) or repr(factory)
-                    if factory is not None else "this run")
-            shard_why = (f"shard safety is declared on a registered "
-                         f"RoundKernel, and {name} has none")
-        elif not getattr(kernel_cls, "shardable", False):
-            shard_why = (f"{kernel_cls.__name__} does not declare "
-                         f"shardable=True (its node program is not "
-                         f"audited for multi-process execution)")
+        elif kernel_cls.shard_words <= 0:
+            shard_why = (f"{kernel_cls.__name__} declares no shard hooks "
+                         f"(shard_words == 0), so it is not audited for "
+                         f"multi-process execution")
         elif shared and any(callable(v) for v in shared.values()):
             shard_why = ("shared values include callables, which cannot "
                          "cross process boundaries")
@@ -343,42 +308,21 @@ def resolve_execution(net: Any, factory: Any = None,
             k = min(k, n)
 
     # -- walk the ladder ------------------------------------------------
-    for rung in ladder:
-        if rung == "compiled":
-            if compiled_why is None:
-                say(f"tier 'compiled': selected — {kernel_cls.__name__} "
-                    f"runs numba-jitted over packed state")
-                return done("compiled", kernel=kernel, kernel_cls=kernel_cls)
-            say(f"tier 'compiled': skipped — {compiled_why}")
-        elif rung == "sharded-kernel":
-            if k is not None and kernel is not None \
-                    and getattr(kernel_cls, "shard_words", 0) > 0:
+    for rung in _LADDER[plan.tier]:
+        if rung == "sharded-kernel":
+            if k is not None:
                 say(f"tier 'sharded-kernel': selected — "
                     f"{kernel_cls.__name__} runs inside {k} shard "
                     f"worker(s)")
                 return done("sharded-kernel", shards=k, kernel=kernel,
                             kernel_cls=kernel_cls)
-            why = shard_why or kernel_why
-            if why is None:
-                why = (f"{kernel_cls.__name__} has no shard hooks "
-                       f"(shard_words == 0)")
-            say(f"tier 'sharded-kernel': skipped — {why}")
+            say(f"tier 'sharded-kernel': skipped — "
+                f"{kernel_why or shard_why}")
         elif rung == "kernel":
             if kernel is not None:
                 say(f"tier 'kernel': selected — {kernel_cls.__name__} "
                     f"runs in-process")
                 return done("kernel", kernel=kernel, kernel_cls=kernel_cls)
             say(f"tier 'kernel': skipped — {kernel_why}")
-        elif rung == "sharded":
-            if k is not None:
-                say(f"tier 'sharded': selected — per-node dispatch "
-                    f"inside {k} shard worker(s)")
-                return done("sharded", shards=k, kernel_cls=kernel_cls)
-            say(f"tier 'sharded': skipped — {shard_why}")
-        else:  # node
-            say("tier 'node': selected — the per-node reference path")
-            return done("node")
-    # unreachable for well-formed plans ("node" ends every fast ladder),
-    # but the skip_sharding shim can exhaust a sharded-only ladder
-    say("tier 'node': selected — every faster rung was skipped")
+    say("tier 'node': selected — the per-node reference path")
     return done("node")

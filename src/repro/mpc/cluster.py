@@ -136,7 +136,7 @@ class MPCCluster:
     ``observing(...)`` bus.  ``execution=`` accepts an
     :class:`~repro.models.execution.ExecutionPlan` or tier name and is
     validated against the MPC model's own ladder (``mpc_kernel`` >
-    ``node``); the compiled/kernel/shard tiers are CONGEST engine rungs
+    ``node``); the kernel/shard tiers are CONGEST engine rungs
     and raise :class:`~repro.models.base.ModelExecutionError`.
     """
 

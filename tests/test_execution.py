@@ -66,12 +66,17 @@ class TestExecutionPlan:
             ExecutionPlan().tier = "node"
 
     def test_tier_vocabulary(self):
-        assert TIERS == ("compiled", "sharded-kernel", "kernel", "sharded",
-                         "node", "legacy")
+        assert TIERS == ("sharded-kernel", "kernel", "node", "legacy")
         for tier in TIERS:
             assert ExecutionPlan(tier=tier).tier == tier
-        with pytest.raises(ValueError):
-            ExecutionPlan(tier="warp")
+        # the removed 'compiled' and per-node 'sharded' rungs are unknown
+        # names now, and the error names the tiers that do exist
+        for tier in ("warp", "compiled", "sharded"):
+            with pytest.raises(ValueError) as err:
+                ExecutionPlan(tier=tier)
+            assert str(err.value) == (
+                f"unknown execution tier {tier!r}; use 'auto' or one of "
+                f"sharded-kernel, kernel, mpc_kernel, node, legacy")
 
     def test_all_tiers_cover_every_model(self):
         # plans validate against the union vocabulary; model-specific
@@ -91,6 +96,12 @@ class TestExecutionPlan:
         for tier in ("kernel", "sharded-kernel", "mpc_kernel"):
             with pytest.raises(ValueError):
                 ExecutionPlan(tier=tier, kernels=False)
+        # shard workers only run kernels: workers without kernels is a
+        # contradiction, not a silent fallthrough (the kill switch is not
+        # a shard request)
+        with pytest.raises(ValueError, match="kernels=False never shards"):
+            ExecutionPlan(shards=2, kernels=False)
+        assert ExecutionPlan(shards=0, kernels=False).shards == 0
 
     @pytest.mark.parametrize("engine,shards,expect", [
         ("csr", None, ExecutionPlan()),
@@ -113,8 +124,7 @@ class TestExecutionPlan:
 
     @pytest.mark.parametrize("tier,engine", [
         ("auto", "csr"), ("sharded-kernel", "sharded"),
-        ("kernel", "csr"), ("sharded", "sharded"),
-        ("node", "node"), ("legacy", "legacy"),
+        ("kernel", "csr"), ("node", "node"), ("legacy", "legacy"),
     ])
     def test_engine_name_round_trip(self, tier, engine):
         shards = 2 if engine == "sharded" else None
@@ -210,13 +220,6 @@ class TestExplainExecution:
         assert decision.shards == 2
         assert any("2 shard" in r for r in decision.reasons)
 
-    def test_sharded_per_node_tier(self):
-        decision = self._explain(
-            execution=ExecutionPlan(tier="sharded", shards=2))
-        assert decision.tier == "sharded"
-        assert decision.shards == 2
-        assert any("per-node dispatch" in r for r in decision.reasons)
-
     def test_auto_on_a_small_host_graph(self):
         # 30 nodes is below the auto-shard threshold: the sharded rungs
         # are skipped with a reason and the in-process kernel wins
@@ -263,8 +266,8 @@ class TestExplainExecution:
         assert decision.tier == "kernel"
 
     def test_numpy_probe_reported(self):
-        # satellite of the compiled tier: the availability probe that
-        # decides vectorized-vs-fallback is named in every chain
+        # the availability probe that decides vectorized-vs-fallback is
+        # named in every chain
         decision = self._explain()
         assert any(r.startswith("numpy probe: available — eligible "
                                 "kernels run their vectorized branch")
@@ -277,54 +280,47 @@ class TestExplainExecution:
                                 "kernels run the pure-python fallback")
                    for r in decision.reasons)
 
-    def test_compiled_skipped_without_numba(self):
-        from repro.congest import compiled as compiled_mod
-        if compiled_mod._numba is not None:  # pragma: no cover
-            pytest.skip("numba installed on this host")
+    def test_auto_chain_exact_on_an_eligible_run(self, monkeypatch):
+        monkeypatch.setattr(sharding, "AUTO_SHARD_MIN_NODES", 10)
+        monkeypatch.setattr(sharding.os, "cpu_count", lambda: 4)
         decision = self._explain()
-        assert decision.tier == "kernel"
-        assert any(r == "tier 'compiled': skipped — numba is not "
-                        "importable (install the repro[compiled] extra)"
-                   for r in decision.reasons)
+        assert (decision.tier, decision.shards) == ("sharded-kernel", 4)
+        assert decision.reasons == (
+            "model 'congest': resolving plan tier 'auto' on the CONGEST "
+            "execution ladder (sharded-kernel > kernel > node)",
+            "numpy probe: available — eligible kernels run their "
+            "vectorized branch",
+            "tier 'sharded-kernel': selected — LubyMISKernel runs inside "
+            "4 shard worker(s)",
+        )
 
-    def test_compiled_selected_when_numba_is_live(self, monkeypatch):
-        from repro.congest import compiled as compiled_mod
-        monkeypatch.setattr(compiled_mod, "_numba", object())
-        decision = self._explain()
-        assert decision.tier == "compiled"
-        assert any(r == "tier 'compiled': selected — LubyMISKernel runs "
-                        "numba-jitted over packed state"
-                   for r in decision.reasons)
+    def test_kernels_false_chain_exact(self):
+        decision = self._explain(execution=ExecutionPlan(kernels=False))
+        assert decision.tier == "node"
+        assert decision.reasons == (
+            "model 'congest': resolving plan tier 'auto' on the CONGEST "
+            "execution ladder (sharded-kernel > kernel > node)",
+            "numpy probe: available — eligible kernels run their "
+            "vectorized branch",
+            "tier 'sharded-kernel': skipped — the plan excludes kernels "
+            "(kernels=False)",
+            "tier 'kernel': skipped — the plan excludes kernels "
+            "(kernels=False)",
+            "tier 'node': selected — the per-node reference path",
+        )
 
-    def test_compiled_env_kill_switch(self, monkeypatch):
-        from repro.congest import NO_COMPILED_ENV
-        from repro.congest import compiled as compiled_mod
-        monkeypatch.setattr(compiled_mod, "_numba", object())
-        monkeypatch.setenv(NO_COMPILED_ENV, "1")
+    def test_env_one_shard_chain_exact(self, monkeypatch):
+        monkeypatch.setenv(SHARDS_ENV, "1")
         decision = self._explain()
-        assert decision.tier == "kernel"
-        assert any(NO_COMPILED_ENV in r and "compiled" in r
-                   for r in decision.reasons)
-
-    def test_compiled_requires_the_audit_flag(self, monkeypatch):
-        from repro.congest import compiled as compiled_mod
-        from repro.congest.kernels import kernel_for
-        monkeypatch.setattr(compiled_mod, "_numba", object())
-        monkeypatch.setattr(kernel_for(LubyMISNode),
-                            "compiled_audited", False)
-        decision = self._explain()
-        assert decision.tier == "kernel"
-        assert any("LubyMISKernel is not compiled-audited" in r
-                   for r in decision.reasons)
-
-    def test_compiled_respects_additive_rng_pin(self, monkeypatch):
-        from repro.congest import compiled as compiled_mod
-        monkeypatch.setattr(compiled_mod, "_numba", object())
-        monkeypatch.setenv("REPRO_ADDITIVE_NODE_RNG", "1")
-        decision = self._explain()
-        assert decision.tier == "kernel"
-        assert any("REPRO_ADDITIVE_NODE_RNG pins the legacy additive "
-                   "rng streams" in r for r in decision.reasons)
+        assert (decision.tier, decision.shards) == ("sharded-kernel", 1)
+        assert decision.reasons == (
+            "model 'congest': resolving plan tier 'auto' on the CONGEST "
+            "execution ladder (sharded-kernel > kernel > node)",
+            "numpy probe: available — eligible kernels run their "
+            "vectorized branch",
+            "tier 'sharded-kernel': selected — LubyMISKernel runs inside "
+            "1 shard worker(s)",
+        )
 
     def test_explain_formats_the_chain(self):
         decision = self._explain(
@@ -509,17 +505,20 @@ class TestFallbackGoldens:
     def test_no_kernels_env_sharded_matches(self, shards, monkeypatch):
         golden = _run_israeli(3, engine="csr")
         monkeypatch.setenv(NO_KERNELS_ENV, "1")
-        # same per-node semantics with and without kernels, sharded or not
+        # a sharded request without kernels runs per-node in-process, and
+        # stays golden
         assert _run_israeli(3, engine="csr") == golden
         sharded = _run_israeli(3, engine="sharded", shards=shards)
         assert sharded == golden
 
-    def test_no_kernels_resolves_to_per_node_sharding(self, monkeypatch):
+    def test_no_kernels_env_never_shards(self, monkeypatch):
         monkeypatch.setenv(NO_KERNELS_ENV, "1")
         net = Network(gnp(30, 0.2, rng=0), policy=LOCAL, seed=0,
                       execution=ExecutionPlan(shards=2))
         decision = net.explain_execution(LubyMISNode)
-        assert decision.tier == "sharded"
+        assert decision.tier == "node"
+        assert (f"tier 'sharded-kernel': skipped — {NO_KERNELS_ENV} "
+                f"disables kernels") in decision.reasons
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_numpy_free_sharded_matches(self, shards, monkeypatch):

@@ -212,8 +212,8 @@ class TestGoldenEquivalence:
                         break
             net = Network(g, policy=congest(multiplier=1), seed=9,
                           engine=engine)
-            assert (net._select_kernel(CountingNode)
-                    is not None) == (engine == "csr")
+            assert net.explain_execution(CountingNode).tier == (
+                "kernel" if engine == "csr" else "node")
             with pytest.raises(BandwidthExceeded):
                 run_counting(net, side, mate, ell=6)
             outcomes[engine] = _metrics_tuple(net.metrics)
@@ -247,7 +247,7 @@ class TestSelectionRules:
     def test_fast_path_engages_by_default(self):
         net = self._net(engine="csr")
         for cls in (IsraeliItaiNode, LubyMISNode):
-            assert net._select_kernel(cls) is not None
+            assert net.explain_execution(cls).tier == "kernel"
 
     def test_registry_lookup(self):
         assert kernel_for(IsraeliItaiNode) is not None
@@ -255,12 +255,14 @@ class TestSelectionRules:
         assert kernel_for(CountingNode) is not None
 
     def test_node_engine_forces_slow_path(self):
-        assert self._net(engine="node")._select_kernel(LubyMISNode) is None
+        assert self._net(engine="node").explain_execution(
+            LubyMISNode).tier == "node"
 
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv(kernels.NO_KERNELS_ENV, "1")
         assert not kernels_enabled()
-        assert self._net(engine="csr")._select_kernel(LubyMISNode) is None
+        assert self._net(engine="csr").explain_execution(
+            LubyMISNode).tier == "node"
         # and the per-node run it falls back to stays golden
         golden = _run_luby("node", CONGEST, 4)
         assert _run_luby("csr", CONGEST, 4) == golden
@@ -270,27 +272,28 @@ class TestSelectionRules:
             pass
 
         assert kernel_for(Tweaked) is None
-        assert self._net(engine="csr")._select_kernel(Tweaked) is None
+        assert self._net(engine="csr").explain_execution(
+            Tweaked).tier == "node"
 
     def test_faults_force_slow_path(self):
         net = self._net(engine="csr", faults=FaultSpec(loss=0.1))
-        assert net._select_kernel(LubyMISNode) is None
+        assert net.explain_execution(LubyMISNode).tier == "node"
 
     def test_policy_subclass_forces_slow_path(self):
         class EdgePriced(BandwidthPolicy):
             pass
 
         net = self._net(engine="csr", policy=EdgePriced(mode=CONGEST.mode))
-        assert net._select_kernel(LubyMISNode) is None
+        assert net.explain_execution(LubyMISNode).tier == "node"
 
     def test_per_message_observer_forces_slow_path(self):
         watcher = Collect(kinds=(MessageDelivered,))
         net = self._net(engine="csr", observe=watcher)
-        assert net._select_kernel(LubyMISNode) is None
+        assert net.explain_execution(LubyMISNode).tier == "node"
         # structural observers do not force it
         structural = Collect(kinds=(RoundStart, RoundEnd))
         net2 = self._net(engine="csr", observe=structural)
-        assert net2._select_kernel(LubyMISNode) is not None
+        assert net2.explain_execution(LubyMISNode).tier == "kernel"
 
     def test_kernel_engages_inside_subnetwork(self):
         parent = Network(gnp(30, 0.15, rng=6), policy=CONGEST, seed=6)
@@ -298,8 +301,8 @@ class TestSelectionRules:
         for engine in ("csr", "node"):
             with Subnetwork(parent, parent.graph, label="mis",
                             engine=engine) as sub:
-                assert (sub.network._select_kernel(LubyMISNode)
-                        is not None) == (engine == "csr")
+                assert sub.network.explain_execution(LubyMISNode).tier == (
+                    "kernel" if engine == "csr" else "node")
                 results[engine] = frozenset(luby_mis(sub.network))
         assert results["csr"] == results["node"]
 
@@ -347,7 +350,8 @@ for engine in ("csr", "node"):
                   engine=engine)
     results[engine] = (frozenset(luby_mis(net)), net.metrics.rounds,
                       net.metrics.messages, net.metrics.total_bits)
-    assert (net._select_kernel(LubyMISNode) is not None) == (engine == "csr")
+    assert net.explain_execution(LubyMISNode).tier == (
+        "kernel" if engine == "csr" else "node")
 assert results["csr"] == results["node"], results
 print("NUMPY_ABSENT_OK")
 """

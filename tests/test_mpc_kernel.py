@@ -171,7 +171,7 @@ class TestLadderResolution:
         joined = " ".join(decision.reasons)
         assert "model 'mpc'" in joined
         assert "mpc_kernel > node" in joined
-        for foreign in ("compiled", "sharded", "legacy", "numba",
+        for foreign in ("sharded-kernel", "'kernel'", "legacy",
                         "RoundKernel", "shard worker"):
             assert foreign not in joined
 

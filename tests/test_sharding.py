@@ -15,6 +15,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.congest import (
     CONGEST,
@@ -162,6 +164,18 @@ class TestPartitioner:
 
 # --- halo payload codec --------------------------------------------------
 
+_payloads = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=12),
+    lambda children: st.tuples(children, children)
+    | st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
 CODEC_CASES = [
     None, True, False, 0, 1, -1, 7, -123456789, 1 << 200, -(1 << 200),
     0.0, -2.5, 1e300, "", "halo", "ünïcode", (), (1, 2), [3, "x", None],
@@ -190,6 +204,29 @@ class TestCodec:
     def test_rejects_non_plain_data(self):
         with pytest.raises(ShardingError):
             encode_payload(bytearray(), object())
+
+    @settings(deadline=None)
+    @given(obj=_payloads)
+    def test_encode_decode_round_trip(self, obj):
+        buf = bytearray()
+        encode_payload(buf, obj)
+        decoded, pos = decode_payload(memoryview(bytes(buf)), 0)
+        assert decoded == obj
+        assert pos == len(buf)
+
+    @settings(deadline=None)
+    @given(value=st.integers(min_value=2**63,
+                             max_value=2**200) | st.integers(
+                                 min_value=-(2**200), max_value=-(2**63) - 1))
+    def test_oversized_int_blob_overflow(self, value):
+        # beyond int64 the codec switches to the sign-tagged magnitude
+        # blob; these are the values the word stream cannot carry inline
+        buf = bytearray()
+        encode_payload(buf, value)
+        tag = buf[0]
+        assert tag in (3, 4)  # _T_INT_POS / _T_INT_NEG
+        decoded, pos = decode_payload(memoryview(bytes(buf)), 0)
+        assert decoded == value and pos == len(buf)
 
 
 # --- golden workloads (shard count is the only degree of freedom) --------
@@ -471,7 +508,9 @@ class TestPoolRecovery:
         g = gnp(30, 0.2, rng=0)
         net = Network(g, policy=LOCAL, seed=0, engine="sharded", shards=2)
         try:
-            executor = net._select_sharded(LubyMISNode, {})
+            decision = net.explain_execution(LubyMISNode)
+            assert decision.tier == "sharded-kernel"
+            executor = net._sharded_executor(decision.shards)
             real_barrier = executor._barrier
 
             class Interrupted:
@@ -502,7 +541,9 @@ class TestPoolRecovery:
         g = gnp(30, 0.2, rng=0)
         net = Network(g, policy=LOCAL, seed=0, engine="sharded", shards=1)
         try:
-            assert net._select_sharded(LubyMISNode, {}).timeout == 12.5
+            decision = net.explain_execution(LubyMISNode)
+            assert decision.tier == "sharded-kernel"
+            assert net._sharded_executor(decision.shards).timeout == 12.5
         finally:
             net.close()
 
@@ -514,14 +555,16 @@ class TestSelection:
     def test_explicit_shards_engage(self):
         net = self._eligible_net(engine="sharded", shards=1)
         try:
-            assert net._select_sharded(LubyMISNode, {}) is not None
+            assert net.explain_execution(LubyMISNode).tier == \
+                "sharded-kernel"
         finally:
             net.close()
 
     def test_shards_argument_implies_opt_in_on_csr(self):
         net = self._eligible_net(engine="csr", shards=1)
         try:
-            assert net._select_sharded(LubyMISNode, {}) is not None
+            assert net.explain_execution(LubyMISNode).tier == \
+                "sharded-kernel"
         finally:
             net.close()
 
@@ -530,7 +573,7 @@ class TestSelection:
         try:
             # 30 nodes is far below the auto threshold
             assert resolve_shards(net) is None
-            assert net._select_sharded(LubyMISNode, {}) is None
+            assert net.explain_execution(LubyMISNode).tier == "kernel"
         finally:
             net.close()
 
@@ -539,12 +582,16 @@ class TestSelection:
         monkeypatch.setattr(sharding.os, "cpu_count", lambda: 4)
         net = self._eligible_net(engine="csr")
         try:
-            # shard workers now run the kernel fast path themselves, so
-            # auto-sharding no longer defers to it: an eligible network
-            # gets a shard count whether kernels are on or off
+            # shard workers run the kernel fast path themselves, so
+            # auto-sharding does not defer to it: an eligible network gets
+            # a shard count whether kernels are on or off; with kernels
+            # off the resolver then has no sharded rung to use it on
             assert resolve_shards(net) == 4
+            assert net.explain_execution(LubyMISNode).tier == \
+                "sharded-kernel"
             monkeypatch.setenv("REPRO_NO_KERNELS", "1")
             assert resolve_shards(net) == 4
+            assert net.explain_execution(LubyMISNode).tier == "node"
         finally:
             net.close()
 
@@ -552,24 +599,24 @@ class TestSelection:
         from repro.congest.kernels import RoundKernel, kernel_for
 
         # opt-in per audited kernel: the base class never volunteers
-        assert RoundKernel.shardable is False
+        assert RoundKernel.shard_words == 0
 
         class Unaudited(RoundKernel):
             pass
 
-        assert Unaudited.shardable is False
+        assert Unaudited.shard_words == 0
         for node_cls in (IsraeliItaiNode, LubyMISNode, CountingNode,
                          TokenNode):
-            assert kernel_for(node_cls).shardable is True, node_cls
+            assert kernel_for(node_cls).shard_words > 0, node_cls
 
     def test_unaudited_kernel_never_shards(self, monkeypatch):
         from repro.congest import kernels
 
         monkeypatch.setattr(kernels.kernel_for(LubyMISNode),
-                            "shardable", False)
+                            "shard_words", 0)
         net = self._eligible_net(engine="sharded", shards=1)
         try:
-            assert net._select_sharded(LubyMISNode, {}) is None
+            assert net.explain_execution(LubyMISNode).tier == "kernel"
         finally:
             net.close()
 
@@ -577,7 +624,7 @@ class TestSelection:
         monkeypatch.setenv(sharding.SHARDS_ENV, "0")
         net = self._eligible_net(engine="sharded", shards=2)
         try:
-            assert net._select_sharded(LubyMISNode, {}) is None
+            assert net.explain_execution(LubyMISNode).tier == "kernel"
         finally:
             net.close()
 
@@ -585,7 +632,8 @@ class TestSelection:
         monkeypatch.setenv(sharding.SHARDS_ENV, "1")
         net = self._eligible_net(engine="csr")
         try:
-            assert net._select_sharded(LubyMISNode, {}) is not None
+            assert net.explain_execution(LubyMISNode).tier == \
+                "sharded-kernel"
         finally:
             net.close()
 
@@ -605,17 +653,19 @@ class TestSelection:
         }
         try:
             for label, net in cases.items():
-                assert net._select_sharded(LubyMISNode, {}) is None, label
+                assert net.explain_execution(LubyMISNode).tier == "node", \
+                    label
             net = self._eligible_net(engine="sharded", shards=1)
             cases["clean"] = net
             # unregistered factory (a subclass) and callable shared values
             class SubLuby(LubyMISNode):
                 pass
 
-            assert net._select_sharded(SubLuby, {}) is None
-            assert net._select_sharded(
-                LubyMISNode, {"observer": lambda e: None}) is None
-            assert net._select_sharded(LubyMISNode, {}) is not None
+            assert net.explain_execution(SubLuby).tier == "node"
+            assert net.explain_execution(
+                LubyMISNode, {"observer": lambda e: None}).tier == "kernel"
+            assert net.explain_execution(LubyMISNode).tier == \
+                "sharded-kernel"
         finally:
             for net in cases.values():
                 net.close()
@@ -627,7 +677,8 @@ class TestSelection:
         plain = Network(g, policy=CONGEST, seed=8, engine="sharded",
                         shards=1)
         try:
-            assert plain._select_kernel(LubyMISNode) is not None
+            assert plain.explain_execution(
+                LubyMISNode, {"observer": lambda e: None}).tier == "kernel"
         finally:
             plain.close()
         results = {}
@@ -636,7 +687,7 @@ class TestSelection:
                           faults=FaultSpec(loss=0.1),
                           **({} if engine == "csr" else {"shards": 2}))
             try:
-                assert net._select_sharded(LubyMISNode, {}) is None
+                assert net.explain_execution(LubyMISNode).tier == "node"
                 results[engine] = (frozenset(luby_mis(net)),
                                    _metrics_tuple(net.metrics))
             finally:
@@ -655,7 +706,7 @@ class TestSelection:
         net = self._eligible_net(engine="csr", shards=0)
         try:
             assert resolve_shards(net) is None
-            assert net._select_sharded(LubyMISNode, {}) is None
+            assert net.explain_execution(LubyMISNode).tier == "kernel"
         finally:
             net.close()
 
