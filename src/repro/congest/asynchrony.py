@@ -166,30 +166,15 @@ class AsyncNetwork:
         }
         self._delay_rng = random.Random(seed ^ 0x5DEECE66D)
         self._run_counter = 0
-        from ..dist.random_tools import (  # late: repro.dist init cycle
-            additive_node_rng_requested,
-            node_seed_from_prefix,
-            node_stream_prefix,
-            node_stream_seed,
-        )
-        self._node_stream_seed = node_stream_seed
-        self._node_stream_prefix = node_stream_prefix
-        self._node_seed_from_prefix = node_seed_from_prefix
-        self._rng_additive = additive_node_rng_requested()
-        self._rng_prefix = (-1, -1, 0)
+        # late import: repro.dist's package init imports this module
+        from ..dist.random_tools import NodeSeeds
+        self._node_seeds = NodeSeeds(seed)
 
     def node_rng(self, node_id: int, salt: int = 0) -> random.Random:
         # identical mixing to Network.node_rng at the same run counter, so a
         # program's random stream matches its synchronous execution
-        if self._rng_additive:
-            return random.Random(self._node_stream_seed(
-                self.seed, self._run_counter, node_id, salt, additive=True))
-        run, cached_salt, prefix = self._rng_prefix
-        if run != self._run_counter or cached_salt != salt:
-            prefix = self._node_stream_prefix(self.seed, self._run_counter,
-                                              salt)
-            self._rng_prefix = (self._run_counter, salt, prefix)
-        return random.Random(self._node_seed_from_prefix(prefix, node_id))
+        return random.Random(
+            self._node_seeds(self._run_counter, node_id, salt))
 
     def run(self, factory: NodeFactory,
             shared: Optional[Dict[str, Any]] = None,
@@ -204,7 +189,7 @@ class AsyncNetwork:
                 neighbors=self._neighbors[v],
                 edge_weights=self._weights[v],
                 n=n,
-                rng=self.node_rng(v),
+                rng_seed=self._node_seeds(self._run_counter, v),
                 shared=shared,
             )
             nodes[v] = _AsyncNode(factory(ctx), self._neighbors[v])

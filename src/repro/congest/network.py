@@ -214,17 +214,8 @@ class Network:
         # per-node random streams: splitmix64 spawn_seed chain by default,
         # legacy additive mixing behind REPRO_ADDITIVE_NODE_RNG=1 (imported
         # late — repro.dist's package init itself imports this module)
-        from ..dist.random_tools import (
-            additive_node_rng_requested,
-            node_seed_from_prefix,
-            node_stream_prefix,
-            node_stream_seed,
-        )
-        self._node_stream_seed = node_stream_seed
-        self._node_stream_prefix = node_stream_prefix
-        self._node_seed_from_prefix = node_seed_from_prefix
-        self._rng_additive = additive_node_rng_requested()
-        self._rng_prefix: Tuple[int, int, int] = (-1, -1, 0)  # (run, salt, pre)
+        from ..dist.random_tools import NodeSeeds
+        self._node_seeds = NodeSeeds(seed)
 
         # observability: explicit observe= wins, else the ambient bus of an
         # enclosing `observing(...)` context, else nothing
@@ -304,15 +295,8 @@ class Network:
         against the old streams).  The per-run chain prefix is cached, so
         spinning up all n streams costs one finalization per node.
         """
-        if self._rng_additive:
-            return random.Random(self._node_stream_seed(
-                self.seed, self._run_counter, node_id, salt, additive=True))
-        run, cached_salt, prefix = self._rng_prefix
-        if run != self._run_counter or cached_salt != salt:
-            prefix = self._node_stream_prefix(self.seed, self._run_counter,
-                                              salt)
-            self._rng_prefix = (self._run_counter, salt, prefix)
-        return random.Random(self._node_seed_from_prefix(prefix, node_id))
+        return random.Random(
+            self._node_seeds(self._run_counter, node_id, salt))
 
     def run(self, factory: NodeFactory, protocol: str = "protocol",
             shared: Optional[Dict[str, Any]] = None,
@@ -365,6 +349,9 @@ class Network:
             result.metrics = self.metrics.delta_since(before)
             return self._attach_profile(result)
 
+        # each context fixes its seed now (the run counter moves on) and
+        # creates the stream on its first draw
+        node_seed, run = self._node_seeds, self._run_counter
         algorithms: Dict[int, NodeAlgorithm] = {}
         for v in self._order:
             ctx = NodeContext(
@@ -372,7 +359,7 @@ class Network:
                 neighbors=self._neighbor_cache[v],
                 edge_weights=self._weight_cache[v],
                 n=n,
-                rng=self.node_rng(v),
+                rng_seed=node_seed(run, v),
                 shared=shared,
             )
             algorithms[v] = factory(ctx)

@@ -13,9 +13,10 @@ W_max — the paper's standing assumptions), and a private random stream.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from functools import cached_property
+from random import Random
+from typing import Any, Dict, Mapping, Tuple
 
 BROADCAST = "*"
 
@@ -31,18 +32,27 @@ class NodeContext:
     across rounds and runs, never rebuilt per context — and ``degree`` is
     precomputed at construction so per-round node code pays a plain
     attribute load instead of a ``len`` call through a property.
+
+    ``rng_seed`` is fixed by the executor when it builds the context; the
+    :attr:`rng` stream is created from it on first read, so a node that
+    never draws costs no ``random.Random``.
     """
 
     node_id: int
     neighbors: Tuple[int, ...]
     edge_weights: Mapping[int, float]
     n: int
-    rng: random.Random
+    rng_seed: int
     shared: Mapping[str, Any] = field(default_factory=dict)
     degree: int = field(init=False)
 
     def __post_init__(self) -> None:
         self.degree = len(self.neighbors)
+
+    @cached_property
+    def rng(self) -> Random:
+        """This node's private random stream for the run."""
+        return Random(self.rng_seed)
 
     def weight(self, neighbor: int) -> float:
         return self.edge_weights[neighbor]
@@ -79,7 +89,7 @@ class NodeAlgorithm:
         return self.ctx.neighbors
 
     @property
-    def rng(self) -> random.Random:
+    def rng(self) -> Random:
         return self.ctx.rng
 
     def halt(self, output: Any = None) -> Outbox:

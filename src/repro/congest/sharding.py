@@ -6,6 +6,8 @@ This is the top rung of the CONGEST ladder (``sharded-kernel`` >
 and its inbox.  This module exploits that by partitioning the graph into
 ``k`` edge-cut shards (:func:`partition_graph`), pinning each shard to a
 persistent worker process, and running every superstep in parallel.
+Partitioning costs O((n + m) log n): each restart into an unexplored
+component is a rank-select on a Fenwick tree of the unassigned nodes.
 
 Every worker executes its slice of the protocol's registered
 :class:`~repro.congest.kernels.RoundKernel` fast path over the full CSR
@@ -156,6 +158,12 @@ def partition_graph(graph: Any, shards: int, seed: int = 0,
     holds at most ``ceil(n / k)`` nodes, which satisfies any ``balance``
     bound >= 1; the bound is still asserted on the result as a guard.
 
+    A restart takes the ``rng.randrange(remaining)``-th unassigned node
+    in index order, found by rank-select on a Fenwick tree over the
+    unassigned flags; every assignment leaves the tree before the next
+    restart.  Both cost O(log n), so a partition costs O((n + m) log n)
+    however many components (isolated nodes included) the graph has.
+
     The result is a pure function of ``(adjacency, shards, seed,
     balance)`` — bit-identical across processes and platforms — because
     the only randomness is a :func:`~repro.dist.random_tools.spawn_seed`
@@ -173,6 +181,15 @@ def partition_graph(graph: Any, shards: int, seed: int = 0,
     from ..dist.random_tools import spawn_seed
 
     rng = random.Random(spawn_seed(seed, "partition", k))
+    # Fenwick tree (1-based) counting unassigned nodes; all ones at first,
+    # so entry j covers lowbit(j) of them.  Assignments queue in `stale`
+    # and reach the tree only when a restart needs it: one O(log n)
+    # removal each, or a single O(n) rebuild when that is cheaper (a long
+    # BFS since the last restart), so a connected graph pays no removals.
+    tree = [j & -j for j in range(n + 1)]
+    top = 1 << (n.bit_length() - 1) if n else 0  # highest power of 2 <= n
+    depth = n.bit_length()
+    stale: List[int] = []
     remaining = n
     frontier: deque = deque()
     for s in range(k):
@@ -181,16 +198,32 @@ def partition_graph(graph: Any, shards: int, seed: int = 0,
         frontier.clear()
         while size < cap:
             if not frontier:
+                if len(stale) * depth > n:
+                    tree[1:] = [1 if o < 0 else 0 for o in owner]
+                    for j in range(1, n + 1):
+                        up = j + (j & -j)
+                        if up <= n:
+                            tree[up] += tree[j]
+                else:
+                    for i in stale:
+                        j = i + 1
+                        while j <= n:
+                            tree[j] -= 1
+                            j += j & -j
+                stale.clear()
                 # fresh start: the rng.randrange(remaining)-th unassigned
-                # node in index order (deterministic given the stream)
-                skip = rng.randrange(remaining)
-                for i in range(n):
-                    if owner[i] < 0:
-                        if skip == 0:
-                            start = i
-                            break
-                        skip -= 1
+                # node in index order (deterministic given the stream),
+                # found by descending to the longest prefix holding <= rank
+                rank = rng.randrange(remaining)
+                start, step = 0, top
+                while step:
+                    nxt = start + step
+                    if nxt <= n and tree[nxt] <= rank:
+                        start = nxt
+                        rank -= tree[nxt]
+                    step >>= 1
                 owner[start] = s
+                stale.append(start)
                 size += 1
                 remaining -= 1
                 frontier.append(start)
@@ -200,6 +233,7 @@ def partition_graph(graph: Any, shards: int, seed: int = 0,
                 j = indices[e]
                 if owner[j] < 0:
                     owner[j] = s
+                    stale.append(j)
                     size += 1
                     remaining -= 1
                     frontier.append(j)
@@ -416,15 +450,8 @@ class _ShardWorker:
         self.my_indices: Tuple[int, ...] = tuple(
             i for i in range(len(spec.csr.order)) if spec.owner[i] == self.w)
         self._charge_cache: Dict[int, int] = {}
-        from ..dist.random_tools import (
-            node_seed_from_prefix,
-            node_stream_prefix,
-            node_stream_seed,
-        )
-        self._node_stream_seed = node_stream_seed
-        self._node_stream_prefix = node_stream_prefix
-        self._node_seed_from_prefix = node_seed_from_prefix
-        self._rng_prefix: Tuple[int, int] = (-1, 0)  # (run, prefix)
+        from ..dist.random_tools import NodeSeeds
+        self._node_seeds = NodeSeeds(spec.seed, spec.rng_additive)
         # shared-memory attachments
         self.meta = _attach_shm(spec.meta_name)
         self.words = memoryview(self.meta.buf).cast("q")
@@ -443,14 +470,7 @@ class _ShardWorker:
     # -- infrastructure ------------------------------------------------
     def node_rng(self, run_counter: int, node_id: int) -> random.Random:
         """Bit-identical replica of ``Network.node_rng`` (salt 0)."""
-        if self.spec.rng_additive:
-            return random.Random(self._node_stream_seed(
-                self.spec.seed, run_counter, node_id, 0, additive=True))
-        run, prefix = self._rng_prefix
-        if run != run_counter:
-            prefix = self._node_stream_prefix(self.spec.seed, run_counter, 0)
-            self._rng_prefix = (run_counter, prefix)
-        return random.Random(self._node_seed_from_prefix(prefix, node_id))
+        return random.Random(self._node_seeds(run_counter, node_id))
 
     def stat(self, col: int, value: int) -> None:
         self.words[self._stat_base + col] = value
@@ -840,7 +860,7 @@ class ShardedNetwork:
             spec = _WorkerSpec(
                 worker=w, k=self.k, base=base, meta_name=self._meta.name,
                 csr=net.csr, owner=self.partition.owner, policy=net.policy,
-                seed=net.seed, rng_additive=net._rng_additive,
+                seed=net.seed, rng_additive=net._node_seeds.additive,
                 halo_bytes=INITIAL_HALO_BYTES, timeout=self.timeout)
             proc = ctx.Process(target=_shard_worker_main,
                                args=(spec, self._barrier, child_conn),

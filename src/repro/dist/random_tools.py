@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 import random
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 _MASK64 = (1 << 64) - 1
 #: splitmix64 increment / finalizer constants (Steele et al.); the same
@@ -119,6 +119,35 @@ def node_stream_prefix(seed: int, run_counter: int, salt: int = 0) -> int:
 def node_seed_from_prefix(prefix: int, node_id: int) -> int:
     """Finalize one node's stream seed from a precomputed prefix state."""
     return _splitmix64(prefix ^ (node_id & _MASK64))
+
+
+class NodeSeeds:
+    """Seeds of one executor's per-node streams, by ``(run, node, salt)``.
+
+    The single derivation behind ``Network.node_rng``, ``NodeContext.rng``,
+    the kernel tiers' lazy streams and the asynchronous executor: the
+    :data:`ADDITIVE_NODE_RNG_ENV` choice is read once, at construction,
+    and the splitmix64 prefix of the latest ``(run, salt)`` is cached, so
+    seeding every node of a run costs one finalization per node.
+    """
+
+    __slots__ = ("seed", "additive", "_key", "_prefix")
+
+    def __init__(self, seed: int, additive: Optional[bool] = None) -> None:
+        self.seed = seed
+        self.additive = (additive_node_rng_requested() if additive is None
+                         else additive)
+        self._key: Tuple[int, int] = (-1, -1)
+        self._prefix = 0
+
+    def __call__(self, run_counter: int, node_id: int, salt: int = 0) -> int:
+        if self.additive:
+            return node_stream_seed(self.seed, run_counter, node_id, salt,
+                                    additive=True)
+        if self._key != (run_counter, salt):
+            self._key = (run_counter, salt)
+            self._prefix = node_stream_prefix(self.seed, run_counter, salt)
+        return node_seed_from_prefix(self._prefix, node_id)
 
 
 def sample_max_uniform(rng: random.Random, count: int, cap: int) -> int:

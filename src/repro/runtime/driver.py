@@ -207,11 +207,14 @@ class Subnetwork:
 
         Idempotent; called automatically when the ``with`` block exits.  On
         failure (an exception escaping the block) the phase is still closed
-        for event-stream balance, but no cost is folded.
+        for event-stream balance, but no cost is folded.  Either way the
+        child network's worker pools are released here, not whenever the
+        garbage collector reaches the child.
         """
         if self._closed:
             return
         self._closed = True
+        self.network.close()
         child = self.network.metrics
         if self._observed:
             detail = {

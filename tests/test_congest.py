@@ -1,5 +1,7 @@
 """Tests for the CONGEST simulator: messages, policies, metrics, engine."""
 
+import random
+
 import pytest
 
 from repro.congest import (
@@ -23,6 +25,12 @@ from repro.congest import (
     payload_bits,
     pipeline,
 )
+from repro.congest import node as node_module
+from repro.congest.asynchrony import AsyncNetwork, UniformDelay
+from repro.congest.utilities import ColorExchangeNode
+from repro.dist.israeli_itai import israeli_itai
+from repro.dist.luby_mis import LubyMISNode, luby_mis
+from repro.dist.random_tools import ADDITIVE_NODE_RNG_ENV
 from repro.graphs import cycle_graph, gnp, path_graph, star_graph
 
 
@@ -277,3 +285,75 @@ class TestUtilities:
         net = Network(g, seed=0)
         outputs = exchange_tokens(net, {0: 5, 1: 6, 2: 7})
         assert outputs[0] == (5, {})
+
+
+class _RecordingRandom(random.Random):
+    """A ``random.Random`` logging every primitive draw.
+
+    Overriding both ``random`` and ``getrandbits`` keeps the base class's
+    derivations (``randrange``, ``choice``, ``shuffle``, ``uniform``), so
+    the stream is draw-for-draw the plain one.
+    """
+
+    made: list = []
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.initial = self.getstate()
+        self.log = []
+        _RecordingRandom.made.append(self)
+
+    def random(self):
+        x = super().random()
+        self.log.append(("random", (), x))
+        return x
+
+    def getrandbits(self, k):
+        x = super().getrandbits(k)
+        self.log.append(("getrandbits", (k,), x))
+        return x
+
+
+class TestLazyNodeRng:
+    """``NodeContext.rng`` is created on first read, from the seed fixed
+    when the context was built: nodes that never draw cost no stream, and
+    the draws that happen equal the executor's ``node_rng`` stream for the
+    same run."""
+
+    @pytest.fixture(params=[False, True], ids=["splitmix", "additive"])
+    def recording(self, request, monkeypatch):
+        if request.param:
+            monkeypatch.setenv(ADDITIVE_NODE_RNG_ENV, "1")
+        else:
+            monkeypatch.delenv(ADDITIVE_NODE_RNG_ENV, raising=False)
+        monkeypatch.setattr(node_module, "Random", _RecordingRandom)
+        monkeypatch.setattr(_RecordingRandom, "made", [])
+        return _RecordingRandom.made
+
+    @staticmethod
+    def _assert_streams_match(net, made):
+        assert made, "the protocol drew no randomness"
+        node_of = {net.node_rng(v).getstate(): v for v in net.graph.nodes}
+        assert len(node_of) == net.graph.num_nodes
+        for stream in made:
+            twin = net.node_rng(node_of[stream.initial])
+            for method, args, value in stream.log:
+                assert getattr(twin, method)(*args) == value
+
+    def test_token_exchange_creates_no_stream(self, recording):
+        net = Network(gnp(200, 0.03, rng=1), seed=3)
+        assert net.explain_execution(ColorExchangeNode).tier == "node"
+        exchange_tokens(net, {v: v for v in net.graph.nodes})
+        assert recording == []
+
+    @pytest.mark.parametrize("protocol", [israeli_itai, luby_mis])
+    def test_node_tier_draws_equal_node_rng(self, recording, protocol):
+        net = Network(gnp(60, 0.1, rng=2), seed=4, execution="node")
+        protocol(net)
+        assert net._run_counter == 1  # node_rng below names the same run
+        self._assert_streams_match(net, recording)
+
+    def test_async_draws_equal_node_rng(self, recording):
+        net = AsyncNetwork(gnp(40, 0.12, rng=5), UniformDelay(), seed=6)
+        net.run(LubyMISNode)
+        self._assert_streams_match(net, recording)

@@ -7,14 +7,17 @@ ProtocolResult surface, and the deprecation shims: ``subnetworks=
 golden-pinned to the exact pre-runtime behavior.
 """
 
+import multiprocessing
 import random
 import warnings
+from contextlib import nullcontext
 
 import pytest
 
 from repro.congest import (
     CONGEST,
     LOCAL,
+    SHARDS_ENV,
     EventBus,
     FaultSpec,
     MISDecision,
@@ -267,6 +270,31 @@ class TestSubnetwork:
         sub.close()
         sub.close()
         assert parent.metrics.sub_rounds == folded
+
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_close_releases_the_child_worker_pool(self, monkeypatch, failed):
+        g = gnp(60, 0.1, rng=4)
+
+        def block(shards):
+            if shards:
+                monkeypatch.setenv(SHARDS_ENV, "1")
+            else:
+                monkeypatch.delenv(SHARDS_ENV, raising=False)
+            parent = Network(g, seed=5)
+            before = len(multiprocessing.active_children())
+            with pytest.raises(RuntimeError) if failed else nullcontext():
+                with PhaseDriver(parent, "demo").subnetwork(
+                        g, label="box", fold="absorb") as sub:
+                    luby_mis(sub)
+                    assert bool(sub.network._sharded_execs) == shards
+                    if failed:
+                        raise RuntimeError("boom")
+            assert sub.network._sharded_execs == {}
+            assert len(multiprocessing.active_children()) == before
+            m = parent.metrics
+            return metric_tuple(m), dict(m.subnetwork_rounds)
+
+        assert block(shards=True) == block(shards=False)
 
     def test_run_delegates_to_child_network(self):
         parent = Network(path_graph(5), policy=LOCAL, seed=0)
