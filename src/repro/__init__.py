@@ -62,9 +62,12 @@ Quick start::
 
 Every entry point shares the keyword surface ``(graph, *, eps/k, seed,
 policy, max_rounds, observe, trace, profile, execution)`` and returns a
-:class:`MatchingResult` (``tracer=`` still works, deprecated; so do the
-lower-level ``engine=``/``shards=`` Network keywords, which normalize
-into an :class:`~repro.congest.execution.ExecutionPlan`).
+:class:`MatchingResult`.  Each concern has one spelling: ``execution=``
+(a tier name or an :class:`~repro.models.execution.ExecutionPlan`)
+chooses how protocols run, ``observe=`` attaches observers (a
+:class:`~repro.observe.tracing.Tracer` included), ``faults=FaultSpec(...)``
+injects link faults, and sub-runs go through
+:class:`~repro.runtime.driver.Subnetwork`.
 """
 
 from .core import (
@@ -93,7 +96,7 @@ from .graphs import BipartiteGraph, Graph
 from .matching import Matching
 from .stream import EdgeUpdate, MatchingService, StreamResult
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "ALGORITHMS",

@@ -21,7 +21,7 @@ Usage::
 ``match`` reads an edge-list file (see :mod:`repro.graphs.io`), runs the
 appropriate paper algorithm, and prints the verified result.  ``trace``
 and ``profile`` run an algorithm under the structured event bus
-(:mod:`repro.congest.events`): ``trace`` streams/renders the JSONL event
+(:mod:`repro.observe.events`): ``trace`` streams/renders the JSONL event
 timeline, ``profile`` prints the per-protocol/per-phase cost table.
 ``stream`` drives the dynamic :class:`~repro.stream.service.MatchingService`
 over a switch-churn workload (or a recorded JSONL update stream via

@@ -11,41 +11,11 @@ any observer; it exists for experiments and tests, not as a recommended
 execution mode.
 
 :class:`FaultSpec` actually lives in :mod:`repro.congest.network` (the
-constructor needs it); it is re-exported here for discoverability.  The
-historical :class:`LossyNetwork` subclass remains as a thin deprecated
-alias over ``Network(..., faults=FaultSpec(loss=...))`` — same drop
-pattern, same ``loss``/``dropped`` attributes.
+constructor needs it); it is re-exported here for discoverability.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from .network import FaultSpec
 
-from .._compat import warn_deprecated
-from ..graphs.graph import Graph
-from .network import FaultSpec, Network
-from .policies import CONGEST, BandwidthPolicy
-from ..observe.tracing import Tracer
-
-__all__ = ["FaultSpec", "LossyNetwork"]
-
-
-class LossyNetwork(Network):
-    """Deprecated alias for ``Network(..., faults=FaultSpec(loss=loss))``.
-
-    Kept for one release so existing experiment scripts keep running; the
-    drop stream, iteration order and ``dropped`` accounting are identical
-    to the historical subclass (golden-tested).
-    """
-
-    def __init__(self, graph: Graph, loss: float,
-                 policy: BandwidthPolicy = CONGEST, seed: int = 0,
-                 tracer: Optional[Tracer] = None,
-                 engine: Optional[str] = None) -> None:
-        warn_deprecated("lossy_network", stacklevel=2)
-        super().__init__(graph, policy=policy, seed=seed, tracer=tracer,
-                         engine=engine, faults=FaultSpec(loss=loss))
-
-    @property
-    def loss(self) -> float:
-        return self.faults.loss if self.faults is not None else 0.0
+__all__ = ["FaultSpec"]

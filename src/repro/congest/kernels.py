@@ -11,13 +11,13 @@ A protocol opts in by registering a :class:`RoundKernel` for its node class
 (:func:`register_kernel`); :meth:`Network.run <repro.congest.network.
 Network.run>` then selects the kernel automatically whenever nothing forces
 the per-node path.  The kernel fast path is **golden-equivalent** to per-node
-dispatch — identical outputs, round counts, :class:`~repro.congest.metrics.
+dispatch — identical outputs, round counts, :class:`~repro.runtime.metrics.
 Metrics`, per-node random streams, and structural event stream
 (``RoundStart``/``RoundEnd``), enforced by ``tests/test_kernels.py``.  The
 per-node path remains the executable specification; kernels are an
 optimization, never a semantic fork.
 
-Selection rules (:func:`repro.congest.execution.resolve_execution`, the
+Selection rules (:func:`repro.models.execution.resolve_execution`, the
 kernel-tier gates):
 
 * the plan's tier must allow a kernel rung (``tier="node"`` runs batched
@@ -28,7 +28,7 @@ kernel-tier gates):
 * the run's node factory must be *exactly* a registered class — subclasses
   fall back to per-node dispatch, since they may override behavior;
 * no per-message observer may be subscribed (``bus.wants(MESSAGE_DELIVERED)``
-  — e.g. an attached :class:`~repro.congest.tracing.Tracer`), no fault
+  — e.g. an attached :class:`~repro.observe.tracing.Tracer`), no fault
   injection may be active, and the bandwidth policy must be a plain
   :class:`~repro.congest.policies.BandwidthPolicy` (subclasses might price
   per edge, which kernels memoize away).

@@ -11,23 +11,24 @@ metrics accumulate so composite costs are the true totals.
 
 Two delivery engines share one contract:
 
-* ``"csr"`` (the default) — a batched engine over a flat CSR adjacency
-  (:meth:`~repro.graphs.graph.Graph.to_csr`): broadcast expansion walks
-  precomputed neighbor rows, message pricing is memoized per bit-size, and
-  metrics are accumulated per round instead of per message.
-* ``"legacy"`` — the original per-message dict engine, kept for one release
-  behind ``REPRO_LEGACY_ENGINE=1`` (or ``engine="legacy"``) as the golden
-  reference.  Both engines produce bit-identical outputs, round counts and
-  metrics for the same seed; ``tests/test_engine_golden.py`` enforces it.
+* the batched engine (every tier but ``legacy``) — delivery over a flat
+  CSR adjacency (:meth:`~repro.graphs.graph.Graph.to_csr`): broadcast
+  expansion walks precomputed neighbor rows, message pricing is memoized
+  per bit-size, and metrics are accumulated per round instead of per
+  message.
+* ``execution="legacy"`` — the original per-message dict engine, run only
+  when a plan pins it, as the golden reference.  Both engines produce
+  bit-identical outputs, round counts and metrics for the same seed;
+  ``tests/test_engine_golden.py`` enforces it.
 
-On top of the CSR engine sits the *vectorized kernel* fast path
+On top of the batched engine sits the *vectorized kernel* fast path
 (:mod:`repro.congest.kernels`): protocols that register a ``RoundKernel``
 execute whole rounds as array operations instead of per-node dispatch,
-again bit-identically (``tests/test_kernels.py``).  ``engine="node"``
+again bit-identically (``tests/test_kernels.py``).  ``execution="node"``
 keeps batched delivery but opts out of kernels, and is therefore the
 per-node reference the kernel goldens compare against.
 
-Observability rides the :class:`~repro.congest.events.EventBus`
+Observability rides the :class:`~repro.observe.events.EventBus`
 (``observe=``): **both** engines emit the same structured events — attaching
 an observer never changes the engine, and dispatch is always-fast.  The
 engines ask ``bus.wants(kind)`` once per round, so a network with no
@@ -42,12 +43,10 @@ and the CSR layout); mutating the graph afterwards is not supported.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .._compat import warn_deprecated
 from ..graphs.graph import Graph
 from ..models.execution import ExecutionDecision, ExecutionPlan, resolve_execution
 from ..observe.events import (
@@ -63,7 +62,6 @@ from ..observe.events import (
 )
 from .message import payload_bits, payload_bits_fast
 from ..runtime.metrics import Metrics
-from ..observe.tracing import Tracer
 from .node import BROADCAST, NodeAlgorithm, NodeContext
 from .policies import CONGEST, BandwidthPolicy
 
@@ -72,22 +70,12 @@ RoundHook = Callable[[int, "Network"], None]
 
 DEFAULT_MAX_ROUNDS = 100_000
 
-#: Environment variable that flips the default engine back to the
-#: pre-CSR dict implementation (value ``1``/``true``/``yes``/``on``).
-LEGACY_ENGINE_ENV = "REPRO_LEGACY_ENGINE"
-
 _UNSET = object()  # sentinel for untouched outbox slots in the mixed path
 
 #: Shared empty inbox handed to nodes with no mail this round (saves one
 #: dict allocation per silent node per round).  Node programs must treat
 #: their inbox as read-only; no program in this library mutates it.
 _EMPTY_INBOX: Dict[int, Any] = {}
-
-
-def default_engine() -> str:
-    """The engine a new :class:`Network` uses when none is requested."""
-    flag = os.environ.get(LEGACY_ENGINE_ENV, "").strip().lower()
-    return "legacy" if flag in ("1", "true", "yes", "on") else "csr"
 
 
 class ProtocolError(RuntimeError):
@@ -101,8 +89,7 @@ class FaultSpec:
     ``loss`` is the i.i.d. per-message drop probability; drops happen
     *after* metric accounting (the message was sent and paid for — it just
     never arrives), mirroring a real lossy link.  ``seed`` overrides the
-    drop stream's seed (defaults to the network seed, which reproduces the
-    historical :class:`~repro.congest.faults.LossyNetwork` drop pattern).
+    drop stream's seed (defaults to the network seed).
     """
 
     loss: float = 0.0
@@ -118,11 +105,11 @@ class RunResult:
     """Outcome of one protocol execution.
 
     ``metrics`` is the cost of *this* run alone (a
-    :meth:`~repro.congest.metrics.Metrics.delta_since` snapshot of the
+    :meth:`~repro.runtime.metrics.Metrics.delta_since` snapshot of the
     network's cumulative account), so callers no longer need to snapshot
     and diff ``network.metrics`` around every call.  ``profile`` is a
-    :class:`~repro.congest.profiling.ProfileReport` snapshot when a
-    :class:`~repro.congest.profiling.Profiler` is subscribed to the
+    :class:`~repro.observe.profiling.ProfileReport` snapshot when a
+    :class:`~repro.observe.profiling.Profiler` is subscribed to the
     network's bus (None otherwise).
     """
 
@@ -140,36 +127,29 @@ class Network:
     """A simulated synchronous network over a :class:`Graph`.
 
     ``execution`` selects how protocols run: an
-    :class:`~repro.congest.execution.ExecutionPlan` (or a tier name
+    :class:`~repro.models.execution.ExecutionPlan` (or a tier name
     shorthand like ``"node"``) naming the highest performance tier the
     network may use — ``sharded-kernel``, ``kernel``, ``node`` or
     ``legacy``; the default plan (``tier="auto"``) engages
     vectorized kernels whenever a protocol registers one and shard
     workers on top when requested or when the auto rules fire.  Use
     :meth:`explain_execution` to see how a plan resolves for a protocol.
-
-    The historical ``engine=`` (``"csr"``/``"node"``/``"legacy"``/
-    ``"sharded"``) and ``shards=`` keywords remain as deprecation shims;
-    they normalize into a plan via :meth:`ExecutionPlan.from_legacy`
-    with identical observable behavior.  ``max_rounds`` sets the default
-    round limit for every :meth:`run` on this network (individual calls
-    may still override it).
+    ``max_rounds`` sets the default round limit for every :meth:`run` on
+    this network (individual calls may still override it).
 
     ``observe`` attaches observability: an :class:`EventBus`, a single
     observer, or a list of observers (each subscribed with its own
-    interest mask — see :mod:`repro.congest.events`).  Attaching an
-    observer never changes the engine.  ``faults`` injects link faults
-    (:class:`FaultSpec`); the historical ``tracer=`` keyword still works
-    but is deprecated — it wraps the :class:`Tracer` in a bus subscriber.
+    interest mask — see :mod:`repro.observe.events`); a
+    :class:`~repro.observe.tracing.Tracer` is one such observer.
+    Attaching an observer never changes the engine.  ``faults`` injects
+    link faults (:class:`FaultSpec`).
     """
 
     def __init__(self, graph: Graph, policy: BandwidthPolicy = CONGEST,
-                 seed: int = 0, tracer: Optional[Tracer] = None,
-                 engine: Optional[str] = None,
+                 seed: int = 0,
                  max_rounds: Optional[int] = None,
                  observe: Any = None,
                  faults: Optional[FaultSpec] = None,
-                 shards: Optional[int] = None,
                  execution: Any = None) -> None:
         self.graph = graph
         self.policy = policy
@@ -181,39 +161,26 @@ class Network:
         self.model = CONGEST_MODEL
         self.default_max_rounds = max_rounds
         self._run_counter = 0
-        if execution is not None:
-            if engine is not None or shards is not None:
-                raise ValueError(
-                    "pass either execution= or the legacy engine=/shards= "
-                    "keywords, not both")
-            if isinstance(execution, str):
-                plan = ExecutionPlan(tier=execution)
-            elif isinstance(execution, ExecutionPlan):
-                plan = execution
-            else:
-                raise TypeError(
-                    f"execution= wants an ExecutionPlan or a tier name, "
-                    f"got {type(execution).__name__}")
+        if execution is None:
+            plan = ExecutionPlan()
+        elif isinstance(execution, str):
+            plan = ExecutionPlan(tier=execution)
+        elif isinstance(execution, ExecutionPlan):
+            plan = execution
         else:
-            plan = ExecutionPlan.from_legacy(
-                engine if engine is not None else default_engine(), shards)
+            raise TypeError(
+                f"execution= wants an ExecutionPlan or a tier name, "
+                f"got {type(execution).__name__}")
         # fail fast on foreign rungs (e.g. 'mpc_kernel' belongs to the
         # MPC model's ladder, not CONGEST's)
         self.model.check_plan(plan)
-        #: the frozen :class:`~repro.congest.execution.ExecutionPlan`
+        #: the frozen :class:`~repro.models.execution.ExecutionPlan`
         #: every :meth:`run` resolves against
         self.execution_plan = plan
-        #: legacy engine vocabulary derived from the plan (delivery
-        #: branch + Subnetwork inheritance still read it)
-        self.engine = plan.engine_name()
-        #: explicit shard request from the plan (or the ``shards=`` shim);
-        #: resolution and eligibility live in :mod:`repro.congest.sharding`
-        self.requested_shards = plan.shards
         self._sharded_execs: Dict[int, Any] = {}
 
-        # per-node random streams: splitmix64 spawn_seed chain by default,
-        # legacy additive mixing behind REPRO_ADDITIVE_NODE_RNG=1 (imported
-        # late — repro.dist's package init itself imports this module)
+        # per-node random streams from the splitmix64 spawn_seed chain
+        # (imported late — repro.dist's package init imports this module)
         from ..dist.random_tools import NodeSeeds
         self._node_seeds = NodeSeeds(seed)
 
@@ -231,15 +198,9 @@ class Network:
                     self.bus.subscribe(observer)
         else:
             self.bus = ambient_bus()
-        self.tracer = tracer
-        if tracer is not None:
-            warn_deprecated("network_tracer", stacklevel=2)
-            if self.bus is None or self.bus is ambient_bus():
-                self.bus = EventBus()
-            self.bus.subscribe(tracer)
 
-        # fault injection (the former LossyNetwork, folded into the core
-        # constructor so it composes with any engine and any observer)
+        # fault injection (a constructor argument, so it composes with any
+        # engine and any observer)
         self.faults = faults
         self.dropped = 0
         if faults is not None and faults.loss > 0.0:
@@ -290,9 +251,7 @@ class Network:
 
         Seeds come from the splitmix64 :func:`~repro.dist.random_tools.
         spawn_seed` chain keyed by ``(seed, run, salt, node)``, so distinct
-        streams can never alias (the historical additive formula could —
-        set ``REPRO_ADDITIVE_NODE_RNG=1`` to restore it for goldens pinned
-        against the old streams).  The per-run chain prefix is cached, so
+        streams can never alias.  The per-run chain prefix is cached, so
         spinning up all n streams costs one finalization per node.
         """
         return random.Random(
@@ -450,7 +409,7 @@ class Network:
                           ) -> ExecutionDecision:
         """How this network's plan resolves for a run of ``factory``.
 
-        Returns an :class:`~repro.congest.execution.ExecutionDecision`
+        Returns an :class:`~repro.models.execution.ExecutionDecision`
         whose ``tier``/``shards`` are the rung :meth:`run` would use and
         whose ``reasons`` chain explains, per considered tier, why it was
         or wasn't selected (``decision.explain()`` formats it).  Dry:
@@ -487,12 +446,13 @@ class Network:
 
     # ------------------------------------------------------------------
     def subnetwork(self, graph: Graph, **kwargs: Any) -> Any:
-        """Spawn a :class:`~repro.congest.runtime.Subnetwork` over ``graph``.
+        """Spawn a :class:`~repro.runtime.driver.Subnetwork` over ``graph``.
 
-        The child inherits this network's policy, engine, fault spec, event
-        bus (scoped under a ``PhaseStart``/``PhaseEnd`` pair) and seed
-        stream, and folds its cost back into this network's metrics on
-        exit — see :mod:`repro.congest.runtime` for the fold modes.
+        The child inherits this network's policy, execution plan, fault
+        spec, event bus (scoped under a ``PhaseStart``/``PhaseEnd`` pair)
+        and seed stream, and folds its cost back into this network's
+        metrics on exit — see :mod:`repro.runtime.driver` for the fold
+        modes.
         """
         from ..runtime.driver import Subnetwork
 
@@ -529,15 +489,15 @@ class Network:
                  protocol: str = "protocol", round_number: int = 0):
         """Expand broadcasts, price messages, and build inboxes.
 
-        Dispatch is engine-only — observers never change it: the batched
-        CSR engine always serves ``engine="csr"`` and the dict engine the
-        ``"legacy"`` opt-out.  Fault injection and event emission are
+        Dispatch is engine-only — observers never change it: the dict
+        engine serves a plan pinned to ``tier="legacy"``, the batched CSR
+        engine every other tier.  Fault injection and event emission are
         post-passes over the delivered inboxes, shared by both engines
         (which is what makes their event streams identical).  Subclasses
         that post-process delivery may still override this method and
         delegate to ``super()``.
         """
-        if self.engine != "legacy":
+        if self.execution_plan.tier != "legacy":
             inboxes, extra = self._deliver_batched(outboxes, n)
         else:
             inboxes, extra = self._deliver_dict(outboxes, n)
@@ -551,8 +511,8 @@ class Network:
     def _apply_faults(self, inboxes: Dict[int, Dict[int, Any]]) -> None:
         """Drop delivered messages i.i.d. with ``faults.loss``.
 
-        Iteration order (sorted receivers, sorted senders) and the rng
-        stream reproduce the historical LossyNetwork drop pattern exactly.
+        Iteration order is sorted receivers, then sorted senders, so the
+        drop pattern depends only on the fault seed and the traffic.
         """
         loss = self.faults.loss
         rng_random = self._fault_rng.random
@@ -715,7 +675,7 @@ class Network:
         return inboxes, extra_rounds
 
     def _deliver_dict(self, outboxes: Dict[int, Dict[Any, Any]], n: int):
-        """The reference per-message engine (``engine="legacy"`` opt-out)."""
+        """The reference per-message engine (``execution="legacy"``)."""
         inboxes: Dict[int, Dict[int, Any]] = {}
         extra_rounds = 0
         # graph order instead of a per-round sort: node ids ascend by

@@ -26,7 +26,7 @@ services and each kernel's ``shard_*`` hooks for the per-protocol
 record layouts.
 
 The executor is **golden-equivalent** to the single-process engine:
-identical outputs, round counts, :class:`~repro.congest.metrics.Metrics`
+identical outputs, round counts, :class:`~repro.runtime.metrics.Metrics`
 (physical account), per-node random streams, structural event stream
 (``RoundStart``/``RoundEnd``) and error behavior, enforced by
 ``tests/test_sharding.py``.  The coordinator replays ``Network.run``'s
@@ -77,7 +77,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 #: Environment variable steering shard selection: unset/empty follows the
 #: constructor and auto rules; ``0``/``off`` disables sharding entirely
 #: (the kill switch); a positive integer forces that many shards for every
-#: eligible run, waiving the auto threshold and core-count checks.
+#: eligible run, waiving the auto threshold and core-count checks.  Any
+#: other value raises :class:`ShardingError`.
 SHARDS_ENV = "REPRO_SHARDS"
 
 #: Auto-sharding engages only at or above this node count (smaller
@@ -434,7 +435,6 @@ class _WorkerSpec:
     owner: Tuple[int, ...]
     policy: Any
     seed: int
-    rng_additive: bool
     halo_bytes: int
     timeout: float
 
@@ -451,7 +451,7 @@ class _ShardWorker:
             i for i in range(len(spec.csr.order)) if spec.owner[i] == self.w)
         self._charge_cache: Dict[int, int] = {}
         from ..dist.random_tools import NodeSeeds
-        self._node_seeds = NodeSeeds(spec.seed, spec.rng_additive)
+        self._node_seeds = NodeSeeds(spec.seed)
         # shared-memory attachments
         self.meta = _attach_shm(spec.meta_name)
         self.words = memoryview(self.meta.buf).cast("q")
@@ -860,7 +860,7 @@ class ShardedNetwork:
             spec = _WorkerSpec(
                 worker=w, k=self.k, base=base, meta_name=self._meta.name,
                 csr=net.csr, owner=self.partition.owner, policy=net.policy,
-                seed=net.seed, rng_additive=net._node_seeds.additive,
+                seed=net.seed,
                 halo_bytes=INITIAL_HALO_BYTES, timeout=self.timeout)
             proc = ctx.Process(target=_shard_worker_main,
                                args=(spec, self._barrier, child_conn),
@@ -1128,7 +1128,11 @@ class ShardedNetwork:
 # ---------------------------------------------------------------------------
 
 def env_shards() -> Optional[int]:
-    """:data:`SHARDS_ENV` parsed: None (no opinion), 0 (disabled), k>0."""
+    """:data:`SHARDS_ENV` parsed: None (no opinion), 0 (disabled), k>0.
+
+    Raises :class:`ShardingError` naming the variable and its value when
+    it is neither empty, a kill-switch word, nor a non-negative integer.
+    """
     raw = os.environ.get(SHARDS_ENV, "").strip().lower()
     if not raw:
         return None
@@ -1137,8 +1141,12 @@ def env_shards() -> Optional[int]:
     try:
         value = int(raw)
     except ValueError:
-        return None
-    return value if value > 0 else 0
+        value = -1
+    if value < 0:
+        raise ShardingError(
+            f"{SHARDS_ENV}={os.environ[SHARDS_ENV]!r} is not a shard count; "
+            f"use a positive integer, or 0/off/false/no to disable sharding")
+    return value
 
 
 def resolve_shards(net: Any) -> Optional[int]:
@@ -1146,33 +1154,28 @@ def resolve_shards(net: Any) -> Optional[int]:
 
     The ladder: the environment kill switch (``REPRO_SHARDS=0``, when the
     plan honors the environment) beats everything; a forced environment
-    count beats the plan; ``shards=0`` in the plan (or the legacy kwarg)
-    disables sharding just like the environment kill switch; ``shards=k``
-    forces ``k``; the ``sharded-kernel`` tier (including the
-    ``engine="sharded"`` shim) opts in with the default count; otherwise
+    count beats the plan; ``shards=0`` in the plan disables sharding just
+    like the environment kill switch; ``shards=k`` forces ``k``; the
+    ``sharded-kernel`` tier opts in with the default count; otherwise
     auto-sharding engages for large networks (>=
     :data:`AUTO_SHARD_MIN_NODES` nodes) on multi-core machines.
     """
-    plan = getattr(net, "execution_plan", None)
-    if plan is None or plan.env_overrides:
+    plan = net.execution_plan
+    if plan.env_overrides:
         forced = env_shards()
         if forced == 0:
             return None
         if forced is not None:
             return forced
-    requested = (plan.shards if plan is not None
-                 else getattr(net, "requested_shards", None))
-    if requested == 0:
+    if plan.shards == 0:
         return None
-    if requested is not None:
-        return max(1, requested)
-    tier = plan.tier if plan is not None else "auto"
-    if tier == "sharded-kernel" or net.engine == "sharded":
+    if plan.shards is not None:
+        return max(1, plan.shards)
+    if plan.tier == "sharded-kernel":
         return max(1, min(MAX_AUTO_SHARDS, os.cpu_count() or 1))
-    if tier != "auto":
+    if plan.tier != "auto":
         return None
     cores = os.cpu_count() or 1
-    if (net.engine == "csr" and cores >= 2
-            and net.graph.num_nodes >= AUTO_SHARD_MIN_NODES):
+    if cores >= 2 and net.graph.num_nodes >= AUTO_SHARD_MIN_NODES:
         return min(MAX_AUTO_SHARDS, cores)
     return None

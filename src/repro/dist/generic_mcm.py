@@ -10,7 +10,7 @@ The paper's three-step recipe, implemented faithfully:
 2. *MIS* (Luby): the conflict graph is itself a distributed network —
    Lemma 3.5 emulates any algorithm on it with an O(ell) slowdown.  We run
    :class:`LubyMISNode` on the conflict graph as a
-   :class:`~repro.congest.runtime.Subnetwork` of the physical network and
+   :class:`~repro.runtime.driver.Subnetwork` of the physical network and
    charge ``mis_rounds * ell`` physical rounds plus the exchanged traffic.
 3. *Augmentation*: the selected (independent → vertex-disjoint) paths are
    applied; leaders notify along their paths (ell rounds charged).
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .._compat import warn_deprecated
 from ..congest.network import Network
 from ..congest.policies import LOCAL
 from ..runtime import PhaseDriver, ProtocolResult
@@ -92,29 +91,14 @@ def _conflict_from_paths(paths: List[Path], ell: int) -> ConflictGraph:
     )
 
 
-def _run_mis(net: Network, driver: PhaseDriver, conflict: ConflictGraph,
-             ell: int, seed: int, subnetworks: str):
+def _run_mis(driver: PhaseDriver, conflict: ConflictGraph, ell: int):
     """Luby MIS on the conflict graph; returns (mis, mis_rounds).
 
-    The ``"inherit"`` path runs the MIS as a :class:`Subnetwork`: seeds
+    The MIS runs as a :class:`~repro.runtime.driver.Subnetwork`: seeds
     spawn from the parent stream, faults and the event bus carry over, and
     the Lemma 3.5 emulation charge plus the leader-to-leader traffic are
-    folded on exit.  ``"detached"`` reproduces the historical standalone
-    sub-``Network`` (deprecated shim).
+    folded on exit.
     """
-    if subnetworks == "detached":
-        warn_deprecated("generic_detached", stacklevel=3)
-        mis_net = Network(conflict.as_graph(), policy=LOCAL,
-                          seed=seed * 31 + ell, observe=net.bus)
-        mis = luby_mis(mis_net, context=f"conflict ell={ell}")
-        mis_rounds = mis_net.metrics.rounds
-        net.metrics.charge_rounds("mis_emulation", mis_rounds * ell)
-        net.metrics.messages += mis_net.metrics.messages
-        net.metrics.total_bits += mis_net.metrics.total_bits
-        net.metrics.max_message_bits = max(
-            net.metrics.max_message_bits, mis_net.metrics.max_message_bits
-        )
-        return mis, mis_rounds
     # Lemma 3.5: each conflict-graph round costs O(ell) physical rounds;
     # traffic between leaders is carried by the real network (fold_traffic)
     with driver.subnetwork(conflict.as_graph(), label="conflict",
@@ -128,13 +112,10 @@ def _run_mis(net: Network, driver: PhaseDriver, conflict: ConflictGraph,
 
 
 def generic_mcm(graph: Graph, k: int, seed: int = 0,
-                network: Optional[Network] = None,
-                subnetworks: str = "inherit") -> GenericMCMResult:
+                network: Optional[Network] = None) -> GenericMCMResult:
     """Run Algorithm 1 with k phases (eps = 1/(k+1))."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    if subnetworks not in ("inherit", "detached"):
-        raise ValueError("subnetworks must be 'inherit' or 'detached'")
     net = network if network is not None else Network(graph, policy=LOCAL, seed=seed)
     matching = Matching()
     result = GenericMCMResult(matching=matching, network=net)
@@ -150,8 +131,7 @@ def generic_mcm(graph: Graph, k: int, seed: int = 0,
             mis_rounds = 0
             selected: List[Path] = []
             if conflict.num_nodes:
-                mis, mis_rounds = _run_mis(net, driver, conflict, ell, seed,
-                                           subnetworks)
+                mis, mis_rounds = _run_mis(driver, conflict, ell)
                 selected = [conflict.paths[i] for i in sorted(mis)]
                 assert conflict.independent(sorted(mis))
                 for p in selected:

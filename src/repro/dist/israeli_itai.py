@@ -571,7 +571,7 @@ def israeli_itai(network: Network,
     ``initial`` seeds a pre-existing matching whose nodes sit out;
     ``allowed_edges`` restricts proposals to a subgraph.  The result is
     maximal on the eligible subgraph and always contains ``initial``.
-    ``network`` may also be a :class:`~repro.congest.runtime.Subnetwork`.
+    ``network`` may also be a :class:`~repro.runtime.driver.Subnetwork`.
     """
     network = as_network(network)
     graph = network.graph

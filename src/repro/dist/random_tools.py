@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-import os
 import random
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Tuple, Union
 
 _MASK64 = (1 << 64) - 1
 #: splitmix64 increment / finalizer constants (Steele et al.); the same
@@ -64,37 +63,16 @@ def spawn_rng(seed: int, *path: PathElement) -> random.Random:
     return random.Random(spawn_seed(seed, *path))
 
 
-#: Environment variable restoring the pre-1.4 *additive* per-node seed
-#: mixing (value ``1``/``true``/``yes``/``on``) for runs whose goldens were
-#: pinned against the old streams.  The additive formula could alias
-#: distinct ``(seed, run, salt, node)`` quadruples (e.g. ``salt * 0x1003F``
-#: collides with node-id offsets); the splitmix64 chain cannot.
-ADDITIVE_NODE_RNG_ENV = "REPRO_ADDITIVE_NODE_RNG"
-
-
-def additive_node_rng_requested() -> bool:
-    """True when :data:`ADDITIVE_NODE_RNG_ENV` asks for the legacy mixing."""
-    flag = os.environ.get(ADDITIVE_NODE_RNG_ENV, "").strip().lower()
-    return flag in ("1", "true", "yes", "on")
-
-
 def node_stream_seed(seed: int, run_counter: int, node_id: int,
-                     salt: int = 0, additive: bool = False) -> int:
+                     salt: int = 0) -> int:
     """Seed of one node's private stream for one protocol run.
 
-    The default derivation routes through the :func:`spawn_seed` splitmix64
-    chain, so streams are collision-safe: distinct ``(seed, run, salt,
-    node)`` quadruples always yield distinct (and decorrelated) seeds.
-    ``additive=True`` reproduces the historical linear formula for
-    golden-pinned runs — both :class:`~repro.congest.network.Network` and
-    :class:`~repro.congest.asynchrony.AsyncNetwork` consult this helper, so
-    a program's random stream always matches between the two executors.
+    The derivation routes through the :func:`spawn_seed` splitmix64 chain,
+    so streams are collision-safe: distinct ``(seed, run, salt, node)``
+    quadruples always yield distinct (and decorrelated) seeds.  Every
+    executor derives the same seeds (through :class:`NodeSeeds`), so a
+    program's random stream matches across executors.
     """
-    if additive:
-        return (seed * _GAMMA
-                + run_counter * _FNV_PRIME
-                + salt * 0x1003F
-                + node_id) & _MASK64
     return spawn_seed(seed, "node", run_counter, salt, node_id)
 
 
@@ -126,24 +104,18 @@ class NodeSeeds:
 
     The single derivation behind ``Network.node_rng``, ``NodeContext.rng``,
     the kernel tiers' lazy streams and the asynchronous executor: the
-    :data:`ADDITIVE_NODE_RNG_ENV` choice is read once, at construction,
-    and the splitmix64 prefix of the latest ``(run, salt)`` is cached, so
-    seeding every node of a run costs one finalization per node.
+    splitmix64 prefix of the latest ``(run, salt)`` is cached, so seeding
+    every node of a run costs one finalization per node.
     """
 
-    __slots__ = ("seed", "additive", "_key", "_prefix")
+    __slots__ = ("seed", "_key", "_prefix")
 
-    def __init__(self, seed: int, additive: Optional[bool] = None) -> None:
+    def __init__(self, seed: int) -> None:
         self.seed = seed
-        self.additive = (additive_node_rng_requested() if additive is None
-                         else additive)
         self._key: Tuple[int, int] = (-1, -1)
         self._prefix = 0
 
     def __call__(self, run_counter: int, node_id: int, salt: int = 0) -> int:
-        if self.additive:
-            return node_stream_seed(self.seed, run_counter, node_id, salt,
-                                    additive=True)
         if self._key != (run_counter, salt):
             self._key = (run_counter, salt)
             self._prefix = node_stream_prefix(self.seed, run_counter, salt)

@@ -15,10 +15,8 @@ Black boxes:
 * ``local_greedy`` — Preis-style 1/2-MWM, delta = 1/2 (fewer iterations, no
   worst-case round bound);
 * any callable ``(graph, seed, network) -> (Matching, Network)`` — run on a
-  :class:`~repro.congest.runtime.Subnetwork` of the parent (faults, bus and
-  accounting inherited).  The historical two-argument form
-  ``(graph, seed) -> (Matching, Network)`` still works but is deprecated:
-  it builds a detached network that inherits nothing.
+  :class:`~repro.runtime.driver.Subnetwork` of the parent (faults, bus and
+  accounting inherited).
 
 The black box runs over the same physical network, so its cost is absorbed
 verbatim into the parent metrics (``fold="absorb"``); the per-iteration
@@ -28,15 +26,13 @@ by the experiment suite) and is passed explicitly to the subnetwork.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
-from ..._compat import warn_deprecated
 from ...congest.network import Network
 from ...congest.policies import CONGEST, BandwidthPolicy
-from ...runtime import PhaseDriver, ProtocolResult, Subnetwork
+from ...runtime import PhaseDriver, ProtocolResult
 from ...congest.utilities import exchange_tokens
 from ...graphs.graph import Graph
 from ...matching.core import Matching
@@ -82,37 +78,25 @@ def default_iterations(delta: float, eps: float) -> int:
     return math.ceil((3.0 / (2.0 * delta)) * math.log(2.0 / eps))
 
 
-def _resolve_black_box(black_box) -> Tuple[BlackBox, float, bool]:
-    """Returns (runner, delta, composable).
-
-    A *composable* runner accepts ``network=`` and runs on the subnetwork;
-    a legacy two-argument callable is detached (deprecated shim).
-    """
+def _resolve_black_box(black_box) -> Tuple[BlackBox, float]:
+    """Returns (runner, delta); every runner takes ``network=``."""
     if callable(black_box):
-        composable = "network" in inspect.signature(black_box).parameters
-        return black_box, BLACK_BOX_DELTA["class_greedy"], composable
+        return black_box, BLACK_BOX_DELTA["class_greedy"]
     if black_box == "class_greedy":
         return (lambda g, s, network: class_greedy_mwm(g, seed=s,
                                                        network=network),
-                BLACK_BOX_DELTA["class_greedy"], True)
+                BLACK_BOX_DELTA["class_greedy"])
     if black_box == "local_greedy":
         return (lambda g, s, network: local_greedy_mwm(g, seed=s,
                                                        network=network),
-                BLACK_BOX_DELTA["local_greedy"], True)
+                BLACK_BOX_DELTA["local_greedy"])
     raise ValueError(f"unknown black box {black_box!r}")
 
 
-def _run_black_box(driver: PhaseDriver, box: BlackBox, composable: bool,
+def _run_black_box(driver: PhaseDriver, box: BlackBox,
                    gprime: Graph, sub_seed: int, i: int) -> Matching:
-    """One black-box invocation; cost is absorbed into the parent."""
-    net = driver.network
-    if not composable:
-        warn_deprecated("black_box_detached", stacklevel=3)
-        selected, sub_net = box(gprime, sub_seed)
-        net.metrics.absorb(sub_net.metrics)
-        net.metrics.record_subnetwork("black_box", sub_net.metrics,
-                                      physical=True)
-        return selected
+    """One black-box invocation on a Subnetwork; cost is absorbed into the
+    parent."""
     with driver.subnetwork(gprime, label="black_box",
                            phase=f"black_box i={i}",
                            seed=sub_seed, fold="absorb") as sub:
@@ -126,7 +110,7 @@ def approximate_mwm(graph: Graph, eps: float = 0.1, seed: int = 0,
                     iterations: Optional[int] = None,
                     network: Optional[Network] = None) -> MWMResult:
     """Run Algorithm 5; returns the matching with a per-iteration trace."""
-    box, delta, composable = _resolve_black_box(black_box)
+    box, delta = _resolve_black_box(black_box)
     if iterations is None:
         iterations = default_iterations(delta, eps)
     net = network if network is not None else Network(graph, policy=policy, seed=seed)
@@ -151,7 +135,7 @@ def approximate_mwm(graph: Graph, eps: float = 0.1, seed: int = 0,
             if gprime.num_edges == 0:
                 ph.set_detail(residual_edges=0)
                 break
-            selected = _run_black_box(driver, box, composable, gprime,
+            selected = _run_black_box(driver, box, gprime,
                                       seed * 7919 + i, i)
 
             before = matching.weight(graph)

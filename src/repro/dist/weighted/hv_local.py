@@ -13,7 +13,7 @@ Augmentations here are positive-gain alternating paths *and cycles*
 (weighted matchings need cycle swaps, unlike the cardinality case); the
 conflict relation is node-sharing, exactly as in Definition 3.1.
 
-The per-class MIS runs as a :class:`~repro.congest.runtime.Subnetwork` of
+The per-class MIS runs as a :class:`~repro.runtime.driver.Subnetwork` of
 the physical network, so its rounds/messages land in the parent's
 subnetwork account (``rounds_total``), faults reach the MIS nodes, and the
 class sweeps show up as nested phases on any attached event bus.
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..._compat import warn_deprecated
 from ...congest.network import Network
 from ...congest.policies import LOCAL
 from ...runtime import PhaseDriver, ProtocolResult
@@ -55,17 +54,9 @@ class HVResult(ProtocolResult):
     sweeps: List[HVSweep] = field(default_factory=list)
 
 
-def _class_mis(net: Network, driver: PhaseDriver, sub: Graph, it: int, c: int,
-               max_edges: int, seed: int, subnetworks: str) -> Set[int]:
+def _class_mis(driver: PhaseDriver, sub: Graph, it: int, c: int,
+               max_edges: int) -> Set[int]:
     """MIS on one gain class's conflict subgraph; Lemma 3.5 charge."""
-    if subnetworks == "detached":
-        warn_deprecated("hv_detached", stacklevel=3)
-        mis_net = Network(sub, policy=LOCAL, seed=seed * 131 + it * 17 + c)
-        mis = luby_mis(mis_net)
-        net.metrics.charge_rounds(
-            "hv_mis_emulation", mis_net.metrics.rounds * max_edges
-        )
-        return mis
     # Lemma 3.5 emulation charge: conflict rounds x augmentation radius
     with driver.subnetwork(sub, label="class_mis",
                            phase=f"class={c} sweep={it}",
@@ -77,8 +68,7 @@ def _class_mis(net: Network, driver: PhaseDriver, sub: Graph, it: int, c: int,
 
 def hv_mwm(graph: Graph, eps: float = 0.25, seed: int = 0,
            sweeps: Optional[int] = None,
-           network: Optional[Network] = None,
-           subnetworks: str = "inherit") -> HVResult:
+           network: Optional[Network] = None) -> HVResult:
     """Run the Remark's (1 - eps)-MWM; LOCAL model, small graphs only.
 
     ``sweeps`` defaults to ceil(1/eps) repetitions of the class-sweep.
@@ -86,8 +76,6 @@ def hv_mwm(graph: Graph, eps: float = 0.25, seed: int = 0,
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    if subnetworks not in ("inherit", "detached"):
-        raise ValueError("subnetworks must be 'inherit' or 'detached'")
     net = network if network is not None else Network(graph, policy=LOCAL, seed=seed)
     max_edges = 2 * math.ceil(1.0 / eps) + 1
     repetitions = sweeps if sweeps is not None else math.ceil(1.0 / eps)
@@ -142,8 +130,7 @@ def hv_mwm(graph: Graph, eps: float = 0.25, seed: int = 0,
                     for j in adjacency[i]:
                         if j in live_set and i < j:
                             sub.add_edge(i, j)
-                mis = _class_mis(net, driver, sub, it, c, max_edges, seed,
-                                 subnetworks)
+                mis = _class_mis(driver, sub, it, c, max_edges)
                 for i in sorted(mis):
                     selected.append(i)
                     removed.add(i)

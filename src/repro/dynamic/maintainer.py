@@ -22,10 +22,10 @@ service's module docstring for the batched generalization.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import List
 
-from .._compat import warn_deprecated
 from ..graphs.graph import Graph, GraphError
 from ..matching.core import Matching
 
@@ -61,7 +61,10 @@ class DynamicMatcher:
     def __post_init__(self) -> None:
         from ..stream.service import MatchingService
 
-        warn_deprecated("dynamic_matcher", stacklevel=3)
+        warnings.warn(
+            "DynamicMatcher is deprecated; use repro.stream.MatchingService "
+            "(or repro.run('stream', ...)), which batches and coalesces "
+            "updates", DeprecationWarning, stacklevel=3)
         if self.k < 1:
             raise ValueError("k must be at least 1")
         self._service = MatchingService(

@@ -762,8 +762,8 @@ def run_all(names: Optional[Sequence[str]] = None,
 
     ``trace_dir`` streams every network the experiments build to one JSONL
     trace per experiment (``<trace_dir>/<name>.jsonl``), via the ambient
-    :func:`~repro.congest.events.observing` context; ``profile=True``
-    attaches a :class:`~repro.congest.profiling.Profiler` per experiment
+    :func:`~repro.observe.events.observing` context; ``profile=True``
+    attaches a :class:`~repro.observe.profiling.Profiler` per experiment
     and stores its report as ``table.profile``.  Both are serial-only
     (worker processes do not inherit the ambient observer) and therefore
     incompatible with ``jobs``/``cache_dir``.

@@ -16,7 +16,7 @@ class Table:
     """A titled table with typed-ish formatting of floats.
 
     ``profile`` optionally carries a
-    :class:`~repro.congest.profiling.ProfileReport` of the experiment's
+    :class:`~repro.observe.profiling.ProfileReport` of the experiment's
     distributed runs (attached by ``run_all(..., profile=True)``); it is
     rendered below the table when present.
     """

@@ -213,7 +213,7 @@ class Graph:
         of a sharded run) return the same immutable snapshot instead of
         rebuilding the packed arrays.  ``csr_cache_hits``/``csr_cache_misses``
         count reuse; :class:`~repro.congest.network.Network` folds them
-        into its :class:`~repro.congest.metrics.Metrics`.
+        into its :class:`~repro.runtime.metrics.Metrics`.
         """
         if (self._csr_cache is not None
                 and self._csr_cache_version == self._version):

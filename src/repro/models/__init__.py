@@ -1,9 +1,8 @@
 """Computation models and execution-plan resolution.
 
 :mod:`repro.models.execution` holds the model-agnostic plan objects
-(:class:`ExecutionPlan`, :class:`ExecutionDecision`, the tier ladder)
-hoisted out of ``repro.congest.execution`` (which remains a
-golden-pinned shim).  :mod:`repro.models.base` defines the
+(:class:`ExecutionPlan`, :class:`ExecutionDecision`, the tier ladder).
+:mod:`repro.models.base` defines the
 :class:`ComputationModel` seam and the two registered models:
 ``congest`` (synchronous message passing on the three-rung engine
 ladder) and ``mpc`` (simulated machines with per-machine memory caps).

@@ -2,12 +2,9 @@
 
 The engine has three performance tiers (vectorized kernels inside shard
 workers, in-process kernels, per-node dispatch) plus a legacy reference
-engine, and historically five knobs steered them: ``engine=``,
-``shards=``, ``REPRO_NO_KERNELS``, ``REPRO_SHARDS`` and
-``REPRO_LEGACY_ENGINE``, with implicit precedence between them.  This
-module replaces that ladder's *interface* with a single frozen config
-object, :class:`ExecutionPlan`, accepted as ``Network(execution=...)``
-and ``repro.run(execution=...)``:
+engine.  One frozen config object, :class:`ExecutionPlan`, selects among
+them; it is accepted as ``Network(execution=...)`` and
+``repro.run(execution=...)``:
 
 >>> net = Network(g, execution=ExecutionPlan(tier="sharded-kernel", shards=4))
 >>> net = Network(g, execution="node")            # tier name shorthand
@@ -31,14 +28,7 @@ the auto rules, ``shards=0`` is the kill switch (never shard — same
 semantics as ``REPRO_SHARDS=0``), ``shards=k`` forces ``k`` workers.
 ``kernels=False`` excludes both kernel tiers — and with them sharding,
 since shard workers only run kernels.  ``env_overrides=False`` makes the
-plan ignore ``REPRO_NO_KERNELS``/``REPRO_SHARDS`` at run time
-(``REPRO_LEGACY_ENGINE`` is a construction-time default and only affects
-networks built without an explicit plan or engine).
-
-The legacy ``engine=``/``shards=`` keywords still work as deprecation
-shims: they normalize into a plan (:meth:`ExecutionPlan.from_legacy`)
-and resolve to the same observable behavior, golden-pinned by
-``tests/test_execution.py``.
+plan ignore ``REPRO_NO_KERNELS``/``REPRO_SHARDS`` at run time.
 
 :func:`resolve_execution` is the single resolution routine used by both
 ``Network.run`` and ``Network.explain_execution``; the latter collects a
@@ -54,8 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..observe.events import MESSAGE_DELIVERED
 
 #: CONGEST's resolved tier names, fastest first (``"auto"`` is a plan
-#: input, never a resolution result).  Kept as the historical name —
-#: shims and goldens pin it — but plans are validated against
+#: input, never a resolution result).  Plans are validated against
 #: :data:`ALL_TIERS`, which also covers the per-model rungs of other
 #: computation models.
 TIERS = ("sharded-kernel", "kernel", "node", "legacy")
@@ -131,43 +120,6 @@ class ExecutionPlan:
             raise ValueError(
                 f"kernels=False contradicts tier {self.tier!r}")
 
-    @classmethod
-    def from_legacy(cls, engine: str,
-                    shards: Optional[int]) -> "ExecutionPlan":
-        """Normalize the deprecated ``engine=``/``shards=`` pair.
-
-        ``engine`` must already be resolved (``default_engine()`` applies
-        the ``REPRO_LEGACY_ENGINE`` construction-time default).  The
-        mapping is golden-pinned: every legacy combination resolves to
-        the same observable behavior it had before plans existed.
-        """
-        if engine not in ("csr", "legacy", "node", "sharded"):
-            raise ValueError(f"unknown engine {engine!r}; "
-                             f"use 'csr', 'legacy', 'node' or 'sharded'")
-        if shards is not None and shards < 0:
-            raise ValueError("shards must be >= 0 (0 disables sharding)")
-        if shards is not None and engine in ("legacy", "node"):
-            raise ValueError(f"shards= requires the 'csr' or 'sharded' "
-                             f"engine, not {engine!r}")
-        if engine == "legacy":
-            return cls(tier="legacy")
-        if engine == "node":
-            return cls(tier="node")
-        if engine == "sharded":
-            return cls(tier="sharded-kernel", shards=shards)
-        return cls(tier="auto", shards=shards)
-
-    def engine_name(self) -> str:
-        """The legacy engine vocabulary for this plan (delivery branch,
-        ``Subnetwork`` inheritance and old callers read ``net.engine``)."""
-        if self.tier == "legacy":
-            return "legacy"
-        if self.tier == "node":
-            return "node"
-        if self.tier == "sharded-kernel":
-            return "sharded"
-        return "csr"
-
 
 @dataclass
 class ExecutionDecision:
@@ -222,15 +174,12 @@ def resolve_execution(net: Any, factory: Any = None,
                                  reasons=tuple(reasons), kernel=kernel,
                                  kernel_cls=kernel_cls)
 
-    if plan.tier == "legacy" or net.engine == "legacy":
-        say("tier 'legacy': selected — "
-            + ("pinned by the plan" if plan.tier == "legacy"
-               else "REPRO_LEGACY_ENGINE was set when the network was "
-                    "built (engine='legacy')"))
+    if plan.tier == "legacy":
+        say("tier 'legacy': selected — pinned by the plan")
         return done("legacy")
     if plan.tier == "node":
-        say("tier 'node': selected — pinned by the plan (engine='node' "
-            "keeps batched delivery but forces per-node dispatch)")
+        say("tier 'node': selected — pinned by the plan (batched delivery, "
+            "per-node dispatch)")
         return done("node")
 
     from ..congest import kernels as _kernels

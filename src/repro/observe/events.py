@@ -442,7 +442,7 @@ class observing:
         with observing(JsonlTraceWriter("run.jsonl")) as bus:
             approx_mcm(graph, eps=0.25, seed=0)
 
-    Explicit ``observe=``/``tracer=`` arguments take precedence over the
+    An explicit ``observe=`` argument takes precedence over the
     ambient bus.  Contexts nest; the innermost wins.  Serial execution
     only — worker processes of the parallel experiment runner do not
     inherit the ambient context.

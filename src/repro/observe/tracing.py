@@ -1,17 +1,16 @@
 """Round-by-round execution traces for debugging distributed runs.
 
 Attach a :class:`Tracer` to a :class:`~repro.congest.network.Network` (via
-``observe=[tracer]``; the old ``tracer=`` keyword still works but warns)
-and every delivered message is recorded as a :class:`TraceEvent`.  Traces
+``observe=[tracer]``) and every delivered message is recorded as a
+:class:`TraceEvent`.  Traces
 can be filtered (by protocol, node, round window) and rendered as a compact
 timeline — the tool that made the token-collision and synchronizer bugs in
 this library findable, kept as a first-class debugging aid.
 
-Internally the tracer is now an :class:`~repro.congest.events.EventBus`
-subscriber with ``interest = ("message",)``: it converts each
-:class:`~repro.congest.events.MessageDelivered` into a :class:`TraceEvent`,
-so traced runs stay on the batched CSR engine and record exactly what the
-legacy tracer hook recorded.
+The tracer is an :class:`~repro.observe.events.EventBus` subscriber with
+``interest = ("message",)``: it converts each
+:class:`~repro.observe.events.MessageDelivered` into a :class:`TraceEvent`,
+so traced runs stay on the batched CSR engine.
 """
 
 from __future__ import annotations

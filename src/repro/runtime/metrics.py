@@ -12,7 +12,7 @@ Two accounts coexist:
   callers);
 * the **subnetwork** account (``sub_rounds``, ``sub_messages``,
   ``sub_bits``, ``subnetwork_rounds``) — the raw cost of *emulated* child
-  runs executed through :class:`~repro.congest.runtime.Subnetwork` that is
+  runs executed through :class:`~repro.runtime.driver.Subnetwork` that is
   not already part of the physical account (e.g. Luby MIS rounds on a
   conflict graph, whose physical cost appears as a Lemma 3.5 emulation
   charge instead).  ``rounds_total`` is the end-to-end sum of both.
@@ -181,7 +181,7 @@ class Metrics:
     def record_subnetwork(self, label: str, child: "Metrics",
                           physical: bool = False,
                           traffic: bool = True) -> None:
-        """Account for a child :class:`~repro.congest.runtime.Subnetwork` run.
+        """Account for a child :class:`~repro.runtime.driver.Subnetwork` run.
 
         ``physical=False`` (an *emulated* child, e.g. MIS on a conflict
         graph): the child's raw rounds/messages/bits go into the subnetwork

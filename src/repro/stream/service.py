@@ -32,15 +32,15 @@ intersect P).  Each augmentation grows the matching, so repair terminates.
 When a batch touches a large fraction of the graph the service *escalates*:
 instead of local repair it recomputes from scratch with the static CONGEST
 drivers on a :class:`~repro.congest.network.Network` built with the
-service's :class:`~repro.congest.execution.ExecutionPlan` — so huge repair
+service's :class:`~repro.models.execution.ExecutionPlan` — so huge repair
 regions ride the same kernel/sharded tiers as static runs — and then
 certifies the invariant with a free-node-seeded repair pass.
 
 Observability mirrors the static API: ``observe=``/``trace=``/``profile=``
-resolve through :class:`~repro.congest.profiling.ObservabilityScope`, every
-batch emits :class:`~repro.congest.events.BatchStart` /
-:class:`~repro.congest.events.Repair` /
-:class:`~repro.congest.events.BatchEnd` (wrapped in a constant
+resolve through :class:`~repro.observe.profiling.ObservabilityScope`, every
+batch emits :class:`~repro.observe.events.BatchStart` /
+:class:`~repro.observe.events.Repair` /
+:class:`~repro.observe.events.BatchEnd` (wrapped in a constant
 ``phase="batch"`` pair so profilers aggregate all batches into one row),
 and :meth:`MatchingService.snapshot` returns an immutable per-epoch view
 that stays valid while further updates stream in.

@@ -1,4 +1,4 @@
-"""Tests for the unified API surface: shared keywords, shims, run() facade."""
+"""Tests for the unified API surface: shared keywords and the run() facade."""
 
 import warnings
 
@@ -6,7 +6,7 @@ import pytest
 
 import repro
 from repro import ALGORITHMS, run
-from repro.congest import CONGEST, LOCAL, PIPELINE, Tracer
+from repro.congest import CONGEST, LOCAL, Tracer
 from repro.core.api import approx_mcm, approx_mwm, maximal_matching
 from repro.graphs import exponential_weights, gnp, random_bipartite
 
@@ -28,14 +28,14 @@ class TestSharedKeywords:
 
     def test_tracer_keyword(self, bip):
         tracer = Tracer()
-        res = approx_mcm(bip, eps=0.4, seed=0, tracer=tracer)
+        res = approx_mcm(bip, eps=0.4, seed=0, observe=[tracer])
         assert res.certificate.valid
         assert tracer.events
 
     def test_tracer_everywhere(self, weighted):
         for call in (
-            lambda t: approx_mwm(weighted, eps=0.2, seed=0, tracer=t),
-            lambda t: maximal_matching(weighted, seed=0, tracer=t),
+            lambda t: approx_mwm(weighted, eps=0.2, seed=0, observe=[t]),
+            lambda t: maximal_matching(weighted, seed=0, observe=[t]),
         ):
             tracer = Tracer()
             assert call(tracer).certificate.valid
@@ -65,23 +65,7 @@ class TestSharedKeywords:
 
 
 class TestDeprecatedPositional:
-    def test_approx_mcm_positional_warns(self, bip):
-        with pytest.warns(DeprecationWarning):
-            old = approx_mcm(bip, 0.4, 3)
-        new = approx_mcm(bip, eps=0.4, seed=3)
-        assert set(old.matching.edges()) == set(new.matching.edges())
-
-    def test_approx_mwm_positional_warns(self, weighted):
-        with pytest.warns(DeprecationWarning):
-            old = approx_mwm(weighted, 0.2, 1)
-        new = approx_mwm(weighted, eps=0.2, seed=1)
-        assert set(old.matching.edges()) == set(new.matching.edges())
-
-    def test_maximal_matching_positional_warns(self, bip):
-        with pytest.warns(DeprecationWarning):
-            old = maximal_matching(bip, 5)
-        new = maximal_matching(bip, seed=5)
-        assert set(old.matching.edges()) == set(new.matching.edges())
+    """Everything after the graph is keyword-only."""
 
     def test_too_many_positionals_rejected(self, bip):
         with pytest.raises(TypeError):

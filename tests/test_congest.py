@@ -30,7 +30,6 @@ from repro.congest.asynchrony import AsyncNetwork, UniformDelay
 from repro.congest.utilities import ColorExchangeNode
 from repro.dist.israeli_itai import israeli_itai
 from repro.dist.luby_mis import LubyMISNode, luby_mis
-from repro.dist.random_tools import ADDITIVE_NODE_RNG_ENV
 from repro.graphs import cycle_graph, gnp, path_graph, star_graph
 
 
@@ -320,12 +319,9 @@ class TestLazyNodeRng:
     the draws that happen equal the executor's ``node_rng`` stream for the
     same run."""
 
-    @pytest.fixture(params=[False, True], ids=["splitmix", "additive"])
-    def recording(self, request, monkeypatch):
-        if request.param:
-            monkeypatch.setenv(ADDITIVE_NODE_RNG_ENV, "1")
-        else:
-            monkeypatch.delenv(ADDITIVE_NODE_RNG_ENV, raising=False)
+    # one derivation (the splitmix64 chain); the id names it
+    @pytest.fixture(params=["splitmix"])
+    def recording(self, monkeypatch):
         monkeypatch.setattr(node_module, "Random", _RecordingRandom)
         monkeypatch.setattr(_RecordingRandom, "made", [])
         return _RecordingRandom.made

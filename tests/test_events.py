@@ -2,9 +2,7 @@
 
 The load-bearing guarantees: observers never change what a run computes
 (same engine, same outputs, same metrics), both delivery engines emit the
-same event sequence, traces round-trip through disk exactly, and the
-legacy ``tracer=``/``LossyNetwork`` surfaces are faithful shims over the
-bus and ``faults=``.
+same event sequence, and traces round-trip through disk exactly.
 """
 
 import dataclasses
@@ -37,7 +35,6 @@ from repro.congest import (
     observing,
     render_timeline,
 )
-from repro.congest.faults import LossyNetwork
 from repro.core.api import run
 from repro.dist.checkers import check_matching
 from repro.dist.israeli_itai import israeli_itai
@@ -160,7 +157,9 @@ class TestObserversDoNotPerturbRuns:
         g = gnp(10, 0.3, rng=1)
         plain = Network(g)
         observed = Network(g, observe=Collect())
-        assert observed.engine == plain.engine == "csr"
+        assert observed.execution_plan == plain.execution_plan
+        assert (observed.explain_execution(Flood).tier
+                == plain.explain_execution(Flood).tier)
 
     def test_observed_run_is_bit_identical(self):
         g = random_bipartite(10, 10, 0.3, rng=2)
@@ -173,11 +172,12 @@ class TestObserversDoNotPerturbRuns:
             plain_net.metrics.total_rounds
         assert observed_net.metrics.total_bits == plain_net.metrics.total_bits
 
-    @pytest.mark.parametrize("engine", ["legacy", "csr"])
-    def test_round_events_bracket_every_round(self, engine):
+    @pytest.mark.parametrize("execution", ["legacy", None],
+                             ids=["legacy", "csr"])
+    def test_round_events_bracket_every_round(self, execution):
         g = gnp(8, 0.4, rng=3)
         collector = Collect(kinds=(RoundStart, RoundEnd))
-        net = Network(g, seed=0, engine=engine, observe=collector)
+        net = Network(g, seed=0, execution=execution, observe=collector)
         israeli_itai(net)
         starts = collector.of(RoundStart)
         ends = collector.of(RoundEnd)
@@ -190,10 +190,10 @@ class TestObserversDoNotPerturbRuns:
 class TestGoldenEventStream:
     """Both engines emit the identical event sequence for a seeded run."""
 
-    def _message_stream(self, engine, faults=None):
+    def _message_stream(self, execution, faults=None):
         g = random_bipartite(12, 12, 0.25, rng=4)
         collector = Collect(kinds=(MessageDelivered,))
-        net = Network(g, policy=LOCAL, seed=7, engine=engine,
+        net = Network(g, policy=LOCAL, seed=7, execution=execution,
                       observe=collector, faults=faults)
         if faults is None:
             israeli_itai(net)
@@ -203,51 +203,21 @@ class TestGoldenEventStream:
 
     def test_legacy_and_csr_emit_identical_messages(self):
         legacy = self._message_stream("legacy")
-        csr = self._message_stream("csr")
+        csr = self._message_stream(None)
         assert legacy == csr
         assert legacy  # non-empty
 
     def test_identical_under_fault_injection(self):
         faults = FaultSpec(loss=0.2)
         legacy = self._message_stream("legacy", faults=faults)
-        csr = self._message_stream("csr", faults=faults)
+        csr = self._message_stream(None, faults=faults)
         assert legacy == csr
         # fault injection really removed messages from the stream
-        assert len(legacy) < len(self._message_stream("csr",
+        assert len(legacy) < len(self._message_stream(None,
                                                       FaultSpec(loss=0.0)))
 
 
-class TestTracerShim:
-    def _traced(self, make_network):
-        g = gnp(10, 0.35, rng=6)
-        tracer = Tracer()
-        net = make_network(g, tracer)
-        result = israeli_itai(net)
-        return set(result.edges()), [dataclasses.astuple(e)
-                                     for e in tracer.events]
-
-    def test_tracer_kwarg_warns_and_matches_observe(self):
-        with pytest.warns(DeprecationWarning):
-            edges_shim, events_shim = self._traced(
-                lambda g, t: Network(g, seed=2, tracer=t))
-        edges_bus, events_bus = self._traced(
-            lambda g, t: Network(g, seed=2, observe=[t]))
-        assert edges_shim == edges_bus
-        assert events_shim == events_bus
-        assert events_bus
-
-    def test_lossy_network_is_a_faults_shim(self):
-        g = gnp(14, 0.3, rng=8)
-        with pytest.warns(DeprecationWarning):
-            lossy = LossyNetwork(g, loss=0.25, policy=LOCAL, seed=1)
-        assert lossy.loss == 0.25
-        plain = Network(g, policy=LOCAL, seed=1,
-                        faults=FaultSpec(loss=0.25))
-        out_lossy = lossy.run(Flood).outputs
-        out_plain = plain.run(Flood).outputs
-        assert out_lossy == out_plain
-        assert lossy.dropped == plain.dropped > 0
-
+class TestFaultSpec:
     def test_fault_spec_validates_loss(self):
         with pytest.raises(ValueError):
             FaultSpec(loss=1.0)

@@ -1,8 +1,8 @@
 """The unified ``execution=`` plan API.
 
-Covers the :class:`~repro.congest.execution.ExecutionPlan` object itself,
-the ``Network(execution=...)`` keyword, the golden-pinned legacy shims
-(``engine=``/``shards=``/``REPRO_*``), ``Network.explain_execution()``'s
+Covers the :class:`~repro.models.execution.ExecutionPlan` object itself,
+the ``Network(execution=...)`` keyword, the ``REPRO_*`` environment
+overrides, ``Network.explain_execution()``'s
 reason chains for every tier, plan inheritance into subnetworks,
 kernel-fallback golden equivalence under sharding, and the zero-copy
 halo-view mechanics the sharded-kernel tier is built on.
@@ -22,7 +22,6 @@ from repro.congest import (
     CONGEST,
     LOCAL,
     ExecutionPlan,
-    LEGACY_ENGINE_ENV,
     NO_KERNELS_ENV,
     Network,
     SHARDS_ENV,
@@ -103,33 +102,6 @@ class TestExecutionPlan:
             ExecutionPlan(shards=2, kernels=False)
         assert ExecutionPlan(shards=0, kernels=False).shards == 0
 
-    @pytest.mark.parametrize("engine,shards,expect", [
-        ("csr", None, ExecutionPlan()),
-        ("csr", 2, ExecutionPlan(shards=2)),
-        ("csr", 0, ExecutionPlan(shards=0)),
-        ("sharded", None, ExecutionPlan(tier="sharded-kernel")),
-        ("sharded", 3, ExecutionPlan(tier="sharded-kernel", shards=3)),
-        ("node", None, ExecutionPlan(tier="node")),
-        ("legacy", None, ExecutionPlan(tier="legacy")),
-    ])
-    def test_from_legacy_mapping(self, engine, shards, expect):
-        assert ExecutionPlan.from_legacy(engine, shards) == expect
-
-    def test_from_legacy_rejects_bad_combos(self):
-        with pytest.raises(ValueError):
-            ExecutionPlan.from_legacy("turbo", None)
-        for engine in ("node", "legacy"):
-            with pytest.raises(ValueError):
-                ExecutionPlan.from_legacy(engine, 2)
-
-    @pytest.mark.parametrize("tier,engine", [
-        ("auto", "csr"), ("sharded-kernel", "sharded"),
-        ("kernel", "csr"), ("node", "node"), ("legacy", "legacy"),
-    ])
-    def test_engine_name_round_trip(self, tier, engine):
-        shards = 2 if engine == "sharded" else None
-        assert ExecutionPlan(tier=tier, shards=shards).engine_name() == engine
-
 
 # --- the Network keyword --------------------------------------------------
 
@@ -140,39 +112,17 @@ class TestNetworkKeyword:
     def test_tier_name_shorthand(self):
         net = self._net(execution="node")
         assert net.execution_plan == ExecutionPlan(tier="node")
-        assert net.engine == "node"
 
     def test_full_plan(self):
         plan = ExecutionPlan(tier="sharded-kernel", shards=2)
         net = self._net(execution=plan)
         assert net.execution_plan is plan
-        assert net.engine == "sharded"
-        assert net.requested_shards == 2
-
-    def test_mutually_exclusive_with_legacy_kwargs(self):
-        with pytest.raises(ValueError):
-            self._net(execution="node", engine="csr")
-        with pytest.raises(ValueError):
-            self._net(execution="node", shards=2)
 
     def test_rejects_garbage(self):
         with pytest.raises(TypeError):
             self._net(execution=42)
         with pytest.raises(ValueError):
             self._net(execution="warp")
-
-    def test_legacy_kwargs_normalize_into_a_plan(self):
-        net = self._net(engine="sharded", shards=3)
-        assert net.execution_plan == ExecutionPlan(tier="sharded-kernel",
-                                                   shards=3)
-        assert net.engine == "sharded"
-        assert net.requested_shards == 3
-
-    def test_legacy_env_default(self, monkeypatch):
-        monkeypatch.setenv(LEGACY_ENGINE_ENV, "1")
-        net = self._net()
-        assert net.execution_plan == ExecutionPlan(tier="legacy")
-        assert net.engine == "legacy"
 
     def test_run_facade_accepts_execution(self):
         from repro.graphs import random_bipartite
@@ -405,43 +355,16 @@ class TestMPCLadderExplain:
             Network(path_graph(6), execution="mpc_kernel")
 
 
-# --- legacy shims resolve identically (golden) ----------------------------
-
-SHIM_COMBOS = [
-    pytest.param({"engine": "csr"}, {"execution": ExecutionPlan()},
-                 id="csr"),
-    pytest.param({"engine": "csr", "shards": 2},
-                 {"execution": ExecutionPlan(shards=2)}, id="csr-shards2"),
-    pytest.param({"engine": "csr", "shards": 0},
-                 {"execution": ExecutionPlan(shards=0)}, id="csr-shards0"),
-    pytest.param({"engine": "sharded"},
-                 {"execution": ExecutionPlan(tier="sharded-kernel")},
-                 id="sharded"),
-    pytest.param({"engine": "sharded", "shards": 3},
-                 {"execution": ExecutionPlan(tier="sharded-kernel",
-                                             shards=3)}, id="sharded-3"),
-    pytest.param({"engine": "node"}, {"execution": "node"}, id="node"),
-    pytest.param({"engine": "legacy"}, {"execution": "legacy"},
-                 id="legacy"),
-]
-
+# --- the environment overrides against explicit plans (golden) ------------
 
 class TestShimGoldens:
-    @pytest.mark.parametrize("legacy,plan", SHIM_COMBOS)
-    def test_resolution_identical(self, legacy, plan):
-        g = gnp(30, 0.2, rng=0)
-        old = Network(g, policy=LOCAL, seed=0, **legacy)
-        new = Network(g, policy=LOCAL, seed=0, **plan)
-        d_old = old.explain_execution(LubyMISNode)
-        d_new = new.explain_execution(LubyMISNode)
-        assert (d_old.tier, d_old.shards) == (d_new.tier, d_new.shards)
-        assert old.execution_plan == new.execution_plan
-        assert old.engine == new.engine
+    """``REPRO_SHARDS`` and ``env_overrides`` against the default and
+    explicit plans; sharded runs stay golden."""
 
     def test_env_shards_forces_both_paths(self, monkeypatch):
         monkeypatch.setenv(SHARDS_ENV, "2")
         g = gnp(30, 0.2, rng=0)
-        for kwargs in ({"engine": "csr"}, {"execution": ExecutionPlan()}):
+        for kwargs in ({}, {"execution": ExecutionPlan()}):
             net = Network(g, policy=LOCAL, seed=0, **kwargs)
             assert resolve_shards(net) == 2
         monkeypatch.setenv(SHARDS_ENV, "0")
@@ -458,8 +381,7 @@ class TestShimGoldens:
         assert resolve_shards(net) == 4
 
     def test_behavior_identical_under_sharding(self):
-        golden = _run_israeli(7, engine="csr")
-        assert _run_israeli(7, engine="sharded", shards=2) == golden
+        golden = _run_israeli(7)
         assert _run_israeli(
             7, execution=ExecutionPlan(tier="sharded-kernel",
                                        shards=2)) == golden
@@ -476,14 +398,6 @@ class TestSubnetworkPlan:
         parent = self._parent(execution=plan)
         sub = parent.subnetwork(path_graph(4), label="probe")
         assert sub.network.execution_plan is plan
-        assert sub.network.engine == "sharded"
-        assert sub.network.requested_shards == 2
-
-    def test_engine_override_still_works(self):
-        parent = self._parent(execution="node")
-        sub = parent.subnetwork(path_graph(4), label="probe", engine="csr")
-        assert sub.network.execution_plan == ExecutionPlan()
-        assert sub.network.engine == "csr"
 
     def test_execution_override(self):
         parent = self._parent()
@@ -491,24 +405,19 @@ class TestSubnetworkPlan:
                                 execution="legacy")
         assert sub.network.execution_plan == ExecutionPlan(tier="legacy")
 
-    def test_override_conflict_rejected(self):
-        parent = self._parent()
-        with pytest.raises(ValueError):
-            parent.subnetwork(path_graph(4), label="probe",
-                              engine="csr", execution="node")
-
 
 # --- kernel fallbacks stay golden under sharding --------------------------
 
 class TestFallbackGoldens:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_no_kernels_env_sharded_matches(self, shards, monkeypatch):
-        golden = _run_israeli(3, engine="csr")
+        golden = _run_israeli(3)
         monkeypatch.setenv(NO_KERNELS_ENV, "1")
         # a sharded request without kernels runs per-node in-process, and
         # stays golden
-        assert _run_israeli(3, engine="csr") == golden
-        sharded = _run_israeli(3, engine="sharded", shards=shards)
+        assert _run_israeli(3) == golden
+        sharded = _run_israeli(3, execution=ExecutionPlan(
+            tier="sharded-kernel", shards=shards))
         assert sharded == golden
 
     def test_no_kernels_env_never_shards(self, monkeypatch):
@@ -522,12 +431,13 @@ class TestFallbackGoldens:
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_numpy_free_sharded_matches(self, shards, monkeypatch):
-        golden = _run_israeli(5, engine="csr")
+        golden = _run_israeli(5)
         # workers are forked after the patch, so they inherit the pure
         # python array paths exactly like a host without numpy
         monkeypatch.setattr(kernels_mod, "_np", None)
-        assert _run_israeli(5, engine="csr") == golden
-        assert _run_israeli(5, engine="sharded", shards=shards) == golden
+        assert _run_israeli(5) == golden
+        assert _run_israeli(5, execution=ExecutionPlan(
+            tier="sharded-kernel", shards=shards)) == golden
 
 
 # --- zero-copy halo views -------------------------------------------------

@@ -124,47 +124,8 @@ class TestExplainNamesTheModel:
 
 
 class TestCongestShimSurface:
-    """The pre-refactor import paths stay alive and identical."""
-
-    def test_events_shim(self):
-        from repro.congest import events as old
-        from repro.observe import events as new
-        assert old.EventBus is new.EventBus
-        assert old.ALL_KINDS is new.ALL_KINDS
-        assert old.EVENT_CLASSES is new.EVENT_CLASSES
-        assert old.PhaseStart is new.PhaseStart
-
-    def test_tracing_shim(self):
-        from repro.congest import tracing as old
-        from repro.observe import tracing as new
-        assert old.Tracer is new.Tracer
-        assert old.TraceEvent is new.TraceEvent
-
-    def test_profiling_shim(self):
-        from repro.congest import profiling as old
-        from repro.observe import profiling as new
-        assert old.Profiler is new.Profiler
-        assert old.ObservabilityScope is new.ObservabilityScope
-
-    def test_metrics_shim(self):
-        from repro.congest import metrics as old
-        from repro.runtime import metrics as new
-        assert old.Metrics is new.Metrics
-
-    def test_runtime_shim(self):
-        from repro.congest import runtime as old
-        from repro.runtime import driver as new
-        assert old.PhaseDriver is new.PhaseDriver
-        assert old.ProtocolResult is new.ProtocolResult
-        assert old.Subnetwork is new.Subnetwork
-        assert old.FOLD_MODES is new.FOLD_MODES
-
-    def test_execution_shim(self):
-        from repro.congest import execution as old
-        from repro.models import execution as new
-        assert old.ExecutionPlan is new.ExecutionPlan
-        assert old.resolve_execution is new.resolve_execution
-        assert old.TIERS is new.TIERS
+    """``repro.congest`` re-exports the live objects of their home modules
+    (the package-level names; the old module paths are gone)."""
 
     def test_package_reexports(self):
         import repro.congest as congest

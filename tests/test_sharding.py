@@ -27,6 +27,7 @@ from repro.congest import (
     PIPELINE,
     BandwidthExceeded,
     BandwidthPolicy,
+    ExecutionPlan,
     FaultSpec,
     MessageDelivered,
     Network,
@@ -58,12 +59,16 @@ def _metrics_tuple(m):
             m.max_message_bits, tuple(sorted(m.protocol_rounds.items())))
 
 
-def _network(g, policy, seed, shards):
-    """A reference (csr) or sharded network, same graph and seed."""
+def _plan(shards):
+    """The default plan (None) or one pinning ``shards`` sharded workers."""
     if shards is None:
-        return Network(g, policy=policy, seed=seed, engine="csr")
-    return Network(g, policy=policy, seed=seed, engine="sharded",
-                   shards=shards)
+        return None
+    return ExecutionPlan(tier="sharded-kernel", shards=shards)
+
+
+def _network(g, policy, seed, shards):
+    """A reference (default plan) or sharded network, same graph and seed."""
+    return Network(g, policy=policy, seed=seed, execution=_plan(shards))
 
 
 class Collect:
@@ -420,8 +425,7 @@ class TestGoldenEquivalence:
             collect = Collect(kinds=(RoundStart, RoundEnd))
             g = gnp(48, 0.12, rng=5)
             net = Network(g, policy=CONGEST, seed=5, observe=collect,
-                          **({"engine": "csr"} if shards is None else
-                             {"engine": "sharded", "shards": shards}))
+                          execution=_plan(shards))
             try:
                 israeli_itai(net)
             finally:
@@ -439,10 +443,10 @@ class TestGoldenEquivalence:
         # metrics accumulate across protocols on one network, and the
         # worker pool (plus per-node rng run counter) carries over
         g = gnp(56, 0.1, rng=2)
-        ref = Network(g, policy=LOCAL, seed=2, engine="csr")
+        ref = Network(g, policy=LOCAL, seed=2)
         mis_a = frozenset(luby_mis(ref))
         mis_b = frozenset(luby_mis(ref))
-        net = Network(g, policy=LOCAL, seed=2, engine="sharded", shards=2)
+        net = Network(g, policy=LOCAL, seed=2, execution=_plan(2))
         try:
             assert frozenset(luby_mis(net)) == mis_a
             assert frozenset(luby_mis(net)) == mis_b
@@ -460,7 +464,7 @@ class TestGoldenEquivalence:
 
     def test_shard_account_populated(self):
         g = grid_graph(8, 8)
-        net = Network(g, policy=LOCAL, seed=1, engine="sharded", shards=2)
+        net = Network(g, policy=LOCAL, seed=1, execution=_plan(2))
         try:
             luby_mis(net)
             part = net._sharded_execs[2].partition
@@ -472,7 +476,7 @@ class TestGoldenEquivalence:
 
     def test_single_shard_has_no_halo(self):
         g = gnp(40, 0.15, rng=6)
-        net = Network(g, policy=LOCAL, seed=6, engine="sharded", shards=1)
+        net = Network(g, policy=LOCAL, seed=6, execution=_plan(1))
         try:
             luby_mis(net)
             assert net.metrics.shard_cut_edges == 0
@@ -560,8 +564,7 @@ class TestPoolRecovery:
         for shards in (None, 2):
             g = gnp(40, 0.15, rng=4)
             net = Network(g, policy=LOCAL, seed=4, observe=AngryOnce(),
-                          **({"engine": "csr"} if shards is None else
-                             {"engine": "sharded", "shards": shards}))
+                          execution=_plan(shards))
             try:
                 with pytest.raises(ValueError, match="subscriber crashed"):
                     net.run(LubyMISNode, protocol="luby_mis")
@@ -578,7 +581,7 @@ class TestPoolRecovery:
         # dispatch, after some workers may already hold the command: the
         # pool cannot be trusted and must be broken, closed, and replaced
         g = gnp(40, 0.15, rng=3)
-        ref = Network(g, policy=LOCAL, seed=3, engine="csr")
+        ref = Network(g, policy=LOCAL, seed=3)
         ref.run(LubyMISNode, protocol="luby_mis")  # burn run counter 1
         golden = frozenset(luby_mis(ref))
         net = _network(g, LOCAL, 3, 2)
@@ -594,7 +597,7 @@ class TestPoolRecovery:
 
     def test_keyboard_interrupt_in_wait_breaks_and_closes_pool(self):
         g = gnp(30, 0.2, rng=0)
-        net = Network(g, policy=LOCAL, seed=0, engine="sharded", shards=2)
+        net = Network(g, policy=LOCAL, seed=0, execution=_plan(2))
         try:
             decision = net.explain_execution(LubyMISNode)
             assert decision.tier == "sharded-kernel"
@@ -627,7 +630,7 @@ class TestPoolRecovery:
         assert sharding.barrier_timeout() == sharding.BARRIER_TIMEOUT
         monkeypatch.setenv(sharding.TIMEOUT_ENV, "12.5")
         g = gnp(30, 0.2, rng=0)
-        net = Network(g, policy=LOCAL, seed=0, engine="sharded", shards=1)
+        net = Network(g, policy=LOCAL, seed=0, execution=_plan(1))
         try:
             decision = net.explain_execution(LubyMISNode)
             assert decision.tier == "sharded-kernel"
@@ -641,7 +644,7 @@ class TestSelection:
         return Network(gnp(30, 0.2, rng=0), policy=LOCAL, seed=0, **kwargs)
 
     def test_explicit_shards_engage(self):
-        net = self._eligible_net(engine="sharded", shards=1)
+        net = self._eligible_net(execution=_plan(1))
         try:
             assert net.explain_execution(LubyMISNode).tier == \
                 "sharded-kernel"
@@ -649,7 +652,7 @@ class TestSelection:
             net.close()
 
     def test_shards_argument_implies_opt_in_on_csr(self):
-        net = self._eligible_net(engine="csr", shards=1)
+        net = self._eligible_net(execution=ExecutionPlan(shards=1))
         try:
             assert net.explain_execution(LubyMISNode).tier == \
                 "sharded-kernel"
@@ -657,7 +660,7 @@ class TestSelection:
             net.close()
 
     def test_auto_requires_size_and_cores(self):
-        net = self._eligible_net(engine="csr")
+        net = self._eligible_net()
         try:
             # 30 nodes is far below the auto threshold
             assert resolve_shards(net) is None
@@ -668,7 +671,7 @@ class TestSelection:
     def test_auto_sharding_composes_with_kernels(self, monkeypatch):
         monkeypatch.setattr(sharding, "AUTO_SHARD_MIN_NODES", 10)
         monkeypatch.setattr(sharding.os, "cpu_count", lambda: 4)
-        net = self._eligible_net(engine="csr")
+        net = self._eligible_net()
         try:
             # shard workers run the kernel fast path themselves, so
             # auto-sharding does not defer to it: an eligible network gets
@@ -702,7 +705,7 @@ class TestSelection:
 
         monkeypatch.setattr(kernels.kernel_for(LubyMISNode),
                             "shard_words", 0)
-        net = self._eligible_net(engine="sharded", shards=1)
+        net = self._eligible_net(execution=_plan(1))
         try:
             assert net.explain_execution(LubyMISNode).tier == "kernel"
         finally:
@@ -710,15 +713,34 @@ class TestSelection:
 
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv(sharding.SHARDS_ENV, "0")
-        net = self._eligible_net(engine="sharded", shards=2)
+        net = self._eligible_net(execution=_plan(2))
         try:
             assert net.explain_execution(LubyMISNode).tier == "kernel"
         finally:
             net.close()
 
+    @pytest.mark.parametrize("raw,expected", [
+        ("", None), ("   ", None),
+        ("0", 0), ("off", 0), ("FALSE", 0), (" no ", 0),
+        ("1", 1), (" 3 ", 3), ("12", 12),
+    ])
+    def test_env_shards_accepts(self, monkeypatch, raw, expected):
+        monkeypatch.setenv(sharding.SHARDS_ENV, raw)
+        assert sharding.env_shards() == expected
+
+    @pytest.mark.parametrize("raw", ["two", "1.5", "-3", "4 shards", "on"])
+    def test_env_shards_rejects_malformed(self, monkeypatch, raw):
+        monkeypatch.setenv(sharding.SHARDS_ENV, raw)
+        with pytest.raises(ShardingError) as exc:
+            sharding.env_shards()
+        assert f"REPRO_SHARDS={raw!r}" in str(exc.value)
+        # the error reaches callers instead of silently running unsharded
+        with pytest.raises(ShardingError):
+            self._eligible_net().explain_execution(LubyMISNode)
+
     def test_env_forces_shards(self, monkeypatch):
         monkeypatch.setenv(sharding.SHARDS_ENV, "1")
-        net = self._eligible_net(engine="csr")
+        net = self._eligible_net()
         try:
             assert net.explain_execution(LubyMISNode).tier == \
                 "sharded-kernel"
@@ -731,19 +753,19 @@ class TestSelection:
             pass
 
         cases = {
-            "faults": self._eligible_net(engine="sharded", shards=1,
+            "faults": self._eligible_net(execution=_plan(1),
                                          faults=FaultSpec(loss=0.1)),
             "policy": Network(gnp(30, 0.2, rng=0), policy=EdgePolicy(),
-                              seed=0, engine="sharded", shards=1),
+                              seed=0, execution=_plan(1)),
             "observer": self._eligible_net(
-                engine="sharded", shards=1,
+                execution=_plan(1),
                 observe=Collect(kinds=(MessageDelivered,))),
         }
         try:
             for label, net in cases.items():
                 assert net.explain_execution(LubyMISNode).tier == "node", \
                     label
-            net = self._eligible_net(engine="sharded", shards=1)
+            net = self._eligible_net(execution=_plan(1))
             cases["clean"] = net
             # unregistered factory (a subclass) and callable shared values
             class SubLuby(LubyMISNode):
@@ -759,39 +781,39 @@ class TestSelection:
                 net.close()
 
     def test_sharded_engine_falls_back_to_kernels(self):
-        # an ineligible run on engine="sharded" drops down the ladder
+        # an ineligible run on the sharded-kernel tier drops down the ladder
         # (kernel, then per-node) and stays golden
         g = gnp(40, 0.15, rng=8)
-        plain = Network(g, policy=CONGEST, seed=8, engine="sharded",
-                        shards=1)
+        plain = Network(g, policy=CONGEST, seed=8, execution=_plan(1))
         try:
             assert plain.explain_execution(
                 LubyMISNode, {"observer": lambda e: None}).tier == "kernel"
         finally:
             plain.close()
         results = {}
-        for engine in ("csr", "sharded"):
-            net = Network(g, policy=CONGEST, seed=8, engine=engine,
-                          faults=FaultSpec(loss=0.1),
-                          **({} if engine == "csr" else {"shards": 2}))
+        for shards in (None, 2):
+            net = Network(g, policy=CONGEST, seed=8,
+                          execution=_plan(shards), faults=FaultSpec(loss=0.1))
             try:
                 assert net.explain_execution(LubyMISNode).tier == "node"
-                results[engine] = (frozenset(luby_mis(net)),
+                results[shards] = (frozenset(luby_mis(net)),
                                    _metrics_tuple(net.metrics))
             finally:
                 net.close()
-        assert results["sharded"] == results["csr"]
+        assert results[2] == results[None]
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            Network(path_graph(4), engine="node", shards=2)
+            Network(path_graph(4),
+                    execution=ExecutionPlan(tier="node", shards=2))
         with pytest.raises(ValueError):
-            Network(path_graph(4), engine="legacy", shards=2)
+            Network(path_graph(4),
+                    execution=ExecutionPlan(tier="legacy", shards=2))
 
     def test_shards_zero_is_a_kill_switch(self):
         # shards=0 pins single-process execution (the programmatic twin of
         # REPRO_SHARDS=0) instead of raising
-        net = self._eligible_net(engine="csr", shards=0)
+        net = self._eligible_net(execution=ExecutionPlan(shards=0))
         try:
             assert resolve_shards(net) is None
             assert net.explain_execution(LubyMISNode).tier == "kernel"
@@ -800,10 +822,10 @@ class TestSelection:
 
     def test_close_is_idempotent_and_network_stays_usable(self):
         g = gnp(40, 0.15, rng=1)
-        ref = Network(g, policy=LOCAL, seed=1, engine="csr")
+        ref = Network(g, policy=LOCAL, seed=1)
         first = frozenset(luby_mis(ref))
         second = frozenset(luby_mis(ref))  # run counter advances the rng
-        net = Network(g, policy=LOCAL, seed=1, engine="sharded", shards=2)
+        net = Network(g, policy=LOCAL, seed=1, execution=_plan(2))
         try:
             assert frozenset(luby_mis(net)) == first
             net.close()

@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro import run
-from repro.congest.events import (
+from repro.observe.events import (
     ALL_KINDS,
     STRUCTURAL_KINDS,
     BatchEnd,
@@ -433,8 +433,15 @@ class TestShimGoldens:
         assert hist == golden["history"]
 
     def test_shim_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning):
+        # the package's only DeprecationWarning, pinned verbatim
+        with pytest.warns(DeprecationWarning) as rec:
             DynamicMatcher(k=1)
+        assert [str(w.message) for w in rec] == [
+            "DynamicMatcher is deprecated; use repro.stream.MatchingService "
+            "(or repro.run('stream', ...)), which batches and coalesces "
+            "updates"]
+        # the warning points at the caller, not at the shim
+        assert rec[0].filename == __file__
 
     def test_shim_matches_legacy_mode_service(self):
         g = gnp(12, 0.25, rng=9)

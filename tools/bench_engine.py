@@ -10,7 +10,7 @@ Run from the repo root::
 
 ``--observed`` measures the observability overhead on the CSR flood
 workload: an idle bus (no subscribers), a structural
-:class:`~repro.congest.events.JsonlTraceWriter` (the default trace mode),
+:class:`~repro.observe.events.JsonlTraceWriter` (the default trace mode),
 and a full per-message writer, each reported as a ratio over the
 unobserved run (acceptance: structural tracing within 1.5x; no
 subscribers within measurement noise).
@@ -74,6 +74,7 @@ import argparse
 import json
 import platform
 import time
+from typing import Optional
 
 import os
 import tempfile
@@ -120,13 +121,14 @@ class FloodMax(NodeAlgorithm):
         return {BROADCAST: self.best}
 
 
-def _flood(engine: str, n_side: int, p: float, rounds: int, reps: int = 3,
+def _flood(execution: Optional[str], n_side: int, p: float, rounds: int, reps: int = 3,
            observe_factory=None):
     g = random_bipartite(n_side, n_side, p, rng=0)
     best, outputs, done = float("inf"), None, 0
     for _ in range(reps):  # best-of-reps damps scheduler noise
         observe = observe_factory() if observe_factory is not None else None
-        net = Network(g, policy=LOCAL, seed=0, engine=engine, observe=observe)
+        net = Network(g, policy=LOCAL, seed=0, execution=execution,
+                      observe=observe)
         t0 = time.perf_counter()
         res = net.run(FloodMax, shared={"rounds": rounds},
                       max_rounds=rounds + 2)
@@ -139,12 +141,12 @@ def _flood(engine: str, n_side: int, p: float, rounds: int, reps: int = 3,
     return done / best, best, outputs
 
 
-def _israeli(engine: str, n_side: int, p: float, seed: int = 0,
+def _israeli(execution: Optional[str], n_side: int, p: float, seed: int = 0,
              reps: int = 3):
     g = random_bipartite(n_side, n_side, p, rng=0)
     best, edges, done = float("inf"), None, 0
     for _ in range(reps):
-        net = Network(g, policy=LOCAL, seed=seed, engine=engine)
+        net = Network(g, policy=LOCAL, seed=seed, execution=execution)
         t0 = time.perf_counter()
         matching = israeli_itai(net)
         best = min(best, time.perf_counter() - t0)
@@ -195,7 +197,7 @@ def _bench_observed(n_side: int, p: float, rounds: int, record=None) -> int:
     print(f"observability overhead, csr flood "
           f"({2 * n_side} nodes, {rounds} rounds):")
     for name, factory in modes:
-        rs, t, out = _flood("csr", n_side, p, rounds, reps=5,
+        rs, t, out = _flood(None, n_side, p, rounds, reps=5,
                             observe_factory=factory)
         if baseline_rs is None:
             baseline_rs = rs
@@ -246,20 +248,20 @@ def _counting_instance(n: int):
 
 
 def _kernel_workloads(n: int):
-    """(name, build, go) triples: ``build(engine)`` makes a fresh Network,
+    """(name, build, go) triples: ``build(execution)`` makes a fresh Network,
     ``go(net)`` runs the protocol and returns a comparable result."""
     p = KERNEL_DEG / max(2, n - 1)
 
-    def build_gnp(engine):
+    def build_gnp(execution):
         return Network(gnp(n, p, rng=7), policy=CONGEST, seed=7,
-                       engine=engine)
+                       execution=execution)
 
     counting_shared = {}
 
-    def build_counting(engine):
+    def build_counting(execution):
         g, side, mate = _counting_instance(n)
         counting_shared["side"], counting_shared["mate"] = side, mate
-        return Network(g, policy=PIPELINE, seed=7, engine=engine)
+        return Network(g, policy=PIPELINE, seed=7, execution=execution)
 
     def go_counting(net):
         outputs = run_counting(net, counting_shared["side"],
@@ -269,20 +271,20 @@ def _kernel_workloads(n: int):
 
     token_shared = {}
 
-    def build_token(engine):
+    def build_token(execution):
         # count states are inputs to selection, not part of the timed
         # protocol: compute them once on a throwaway network
         if not token_shared:
             g, side, mate = _counting_instance(n)
             ell = 6
-            prep = Network(g, policy=PIPELINE, seed=7, engine="csr")
+            prep = Network(g, policy=PIPELINE, seed=7)
             states = run_counting(prep, side, mate, ell)
             n_bound = (max(2, g.num_nodes)
                        * max(2, g.max_degree) ** ((ell + 1) // 2))
             token_shared.update(g=g, side=side, mate=mate, ell=ell,
                                 states=states, cap=n_bound ** 4)
         return Network(token_shared["g"], policy=PIPELINE, seed=7,
-                       engine=engine)
+                       execution=execution)
 
     def go_token(net):
         ts = token_shared
@@ -300,11 +302,11 @@ def _kernel_workloads(n: int):
     ]
 
 
-def _time_kernel_workload(build, go, engine: str, reps: int):
+def _time_kernel_workload(build, go, execution: Optional[str], reps: int):
     """Best-of-reps rounds/sec; graph + Network build stay outside timing."""
     best_rs, out, rounds = 0.0, None, 0
     for _ in range(reps):
-        net = build(engine)
+        net = build(execution)
         t0 = time.perf_counter()
         result = go(net)
         dt = time.perf_counter() - t0
@@ -332,7 +334,7 @@ def _bench_kernels(n: int, reps: int, record=None) -> int:
         try:
             for name, build, go in _kernel_workloads(n):
                 k_rs, k_rounds, k_out = _time_kernel_workload(
-                    build, go, "csr", reps)
+                    build, go, None, reps)
                 n_rs, n_rounds, n_out = _time_kernel_workload(
                     build, go, "node", reps)
                 assert k_out == n_out and k_rounds == n_rounds, (
@@ -395,7 +397,8 @@ SHARDED_KERNEL_SPEEDUP_TARGET = 1.5  # vs the in-process kernel, at the
                                      # largest shard count, cores permitting
 
 
-def _time_sharded_workload(g, go, shards, reps: int, engine: str = "csr"):
+def _time_sharded_workload(g, go, shards, reps: int,
+                           execution: Optional[str] = None):
     """Best-of-reps rounds/sec on one persistent network.
 
     One warmup run builds the worker pool (and advances the run counter)
@@ -404,12 +407,11 @@ def _time_sharded_workload(g, go, shards, reps: int, engine: str = "csr"):
     the *warmup* outputs for cross-engine comparison: later reps see a
     different per-run rng stream, but rep ``i`` matches rep ``i`` of any
     other engine on the same network seed.  ``shards`` set runs the
-    sharded-kernel tier; None runs ``engine`` in-process.
+    sharded-kernel tier; None runs ``execution`` in-process.
     """
-    kwargs = ({"engine": engine} if shards is None
-              else {"execution": ExecutionPlan(tier="sharded-kernel",
-                                               shards=shards)})
-    net = Network(g, policy=CONGEST, seed=7, **kwargs)
+    if shards is not None:
+        execution = ExecutionPlan(tier="sharded-kernel", shards=shards)
+    net = Network(g, policy=CONGEST, seed=7, execution=execution)
     try:
         warm_out = go(net)
         best_rs, rounds = 0.0, 0
@@ -450,9 +452,9 @@ def _bench_shards(n: int, shard_counts, reps: int, record=None) -> int:
     for name, go in workloads:
         g = gnp(n, p, rng=7)
         kern_rs, base_rounds, base_out = _time_sharded_workload(
-            g, go, None, reps, engine="csr")
+            g, go, None, reps)
         node_rs, node_rounds, node_out = _time_sharded_workload(
-            g, go, None, reps, engine="node")
+            g, go, None, reps, execution="node")
         assert node_out == base_out and node_rounds == base_rounds, (
             f"{name}: kernel and per-node baselines disagree!")
         print(f"{name:>14} [kernel]:   {kern_rs:8.1f} r/s "
@@ -634,12 +636,12 @@ def main(argv=None) -> int:
     flood_speedup = _report(
         "flood",
         _flood("legacy", n_side, args.p, args.rounds),
-        _flood("csr", n_side, args.p, args.rounds),
+        _flood(None, n_side, args.p, args.rounds),
         record=engines)
     _report(
         "israeli_itai",
         _israeli("legacy", n_side, args.p),
-        _israeli("csr", n_side, args.p),
+        _israeli(None, n_side, args.p),
         record=engines)
     print(f"headline: CSR engine delivers {flood_speedup:.2f}x rounds/sec "
           f"on the flood workload (target >= 3x)")

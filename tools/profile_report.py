@@ -14,7 +14,7 @@ checker verdicts are annotated inline, so the report doubles as a compact
 run summary.
 
 Composed protocols carry two round accounts (see
-:mod:`repro.congest.metrics`): *physical* rounds of the parent network and
+:mod:`repro.runtime.metrics`): *physical* rounds of the parent network and
 *emulated* rounds of ``fold="emulate"`` subnetwork runs, whose physical
 cost appears as an emulation charge instead.  A closing ``PhaseEnd`` with
 ``fold: emulate`` reclassifies the rounds counted inside that phase as
