@@ -64,8 +64,10 @@ def weighted_demo() -> None:
 def main() -> None:
     cardinality_demo()
     weighted_demo()
-    print("Every result above is verified: matchings are checked edge-by-"
-          "edge\nand ratios are certified against the exact optimum.")
+    print("Every result above is verified: each call checks its matching "
+          "edge by edge.\nEach ratio is against an exact optimum, computed "
+          "sequentially when the ratio\nwas first read (or passed in as "
+          "reference=).")
 
 
 if __name__ == "__main__":

@@ -196,9 +196,10 @@ def _cmd_mpc(args: argparse.Namespace) -> int:
     print(f"machines  : {metrics.memory_machines} x "
           f"{metrics.memory_limit_words} words "
           f"(S = ceil(n^{args.alpha:g}))")
-    print(f"peak mem  : {metrics.memory_peak_words} words "
-          f"({metrics.memory_peak_words / metrics.memory_limit_words:.0%} "
-          f"of the cap)")
+    if metrics.memory_limit_words:
+        print(f"peak mem  : {metrics.memory_peak_words} words "
+              f"({metrics.memory_peak_words / metrics.memory_limit_words:.0%}"
+              f" of the cap)")
     if args.profile:
         print()
         print(result.profile.table())

@@ -161,16 +161,7 @@ class Network:
         self.model = CONGEST_MODEL
         self.default_max_rounds = max_rounds
         self._run_counter = 0
-        if execution is None:
-            plan = ExecutionPlan()
-        elif isinstance(execution, str):
-            plan = ExecutionPlan(tier=execution)
-        elif isinstance(execution, ExecutionPlan):
-            plan = execution
-        else:
-            raise TypeError(
-                f"execution= wants an ExecutionPlan or a tier name, "
-                f"got {type(execution).__name__}")
+        plan = ExecutionPlan.coerce(execution)
         # fail fast on foreign rungs (e.g. 'mpc_kernel' belongs to the
         # MPC model's ladder, not CONGEST's)
         self.model.check_plan(plan)

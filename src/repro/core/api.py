@@ -38,8 +38,11 @@ from earlier releases) and ``MatchingResult.rounds_total`` additionally
 counts the virtual sub-protocol rounds
 (``network_metrics.sub_rounds``/``subnetwork_rounds``).
 
-Every distributed result is verified (:class:`Certificate`).  Everything
-after the graph is keyword-only; a :class:`~repro.observe.tracing.Tracer`
+Every distributed result is verified (:class:`Certificate`): validity,
+maximality, size and weight are checked before the call returns, while the
+exact optimum behind the certificate's ratios is computed sequentially on
+their first read, never inside the call.  Everything after the graph is
+keyword-only; a :class:`~repro.observe.tracing.Tracer`
 attaches like any other observer (``observe=[tracer]``).
 """
 
@@ -51,7 +54,10 @@ from typing import Any, Callable, Optional, Union
 from ..observe.events import EventBus, JsonlTraceWriter
 from ..congest.network import Network
 from ..congest.policies import CONGEST, LOCAL, PIPELINE, BandwidthPolicy
+from ..models.base import MPC_MODEL
+from ..models.execution import ExecutionPlan
 from ..observe.profiling import ObservabilityScope, Profiler
+from ..runtime.metrics import Metrics
 from ..graphs.graph import BipartiteGraph, Graph
 from ..matching.core import Matching
 from ..matching.sequential.blossom import max_cardinality
@@ -70,6 +76,14 @@ def _is_bipartite(graph: Graph) -> bool:
     if isinstance(graph, BipartiteGraph):
         return True
     return graph.bipartition() is not None
+
+
+def _bipartite_optimum_weight(graph: Graph) -> Optional[float]:
+    """The exact MWM weight of a bipartite graph (Hungarian); ``None``
+    on general graphs."""
+    if not _is_bipartite(graph):
+        return None
+    return max_weight_bipartite(graph).weight(graph)
 
 
 def _build_network(graph: Graph, policy: BandwidthPolicy, seed: int,
@@ -102,8 +116,9 @@ def approx_mcm(graph: Graph, *, eps: float = 0.25,
     ``model="congest"`` uses Theorem 3.10 on bipartite inputs and
     Theorem 3.15 (Algorithm 4 with certified stopping) otherwise;
     ``model="local"`` forces the generic Algorithm 1.  ``k`` overrides the
-    phase count directly (``eps`` is ignored then).  The certificate
-    includes the exact optimum (computed sequentially for verification).
+    phase count directly (``eps`` is ignored then).  The certificate is
+    checked before the call returns; its exact optimum (``optimum_size``,
+    ``cardinality_ratio``) is computed sequentially on first read.
     """
     if k is None:
         k = eps_to_k(eps)
@@ -136,8 +151,8 @@ def approx_mcm(graph: Graph, *, eps: float = 0.25,
     else:
         raise ValueError(f"unknown model {model!r}; use 'congest' or 'local'")
 
-    optimum = max_cardinality(graph).size
-    cert = certify(graph, matching, optimum_size=optimum)
+    cert = certify(graph, matching,
+                   optimum_size=lambda: max_cardinality(graph).size)
     return obs.finish(MatchingResult(
         matching=matching, algorithm=name,
         certificate=cert, metrics=metrics, detail=detail))
@@ -161,8 +176,9 @@ def approx_mwm(graph: Graph, *, eps: float = 0.1, seed: int = 0,
     1/eps).
     ``reference`` optionally supplies the optimum weight for the
     certificate (e.g. from :func:`exact_mwm` or networkx); when omitted,
-    the bipartite optimum is computed exactly and general graphs get no
-    reference (computing exact general MWM is outside the library's scope).
+    the bipartite optimum is computed exactly on the first read of
+    ``optimum_weight``/``weight_ratio`` and general graphs get no reference
+    (computing exact general MWM is outside the library's scope).
     """
     obs = ObservabilityScope(observe, trace, profile)
     if model == "congest":
@@ -194,10 +210,9 @@ def approx_mwm(graph: Graph, *, eps: float = 0.1, seed: int = 0,
             f"unknown model {model!r}; use 'congest', 'local', or 'auction'"
         )
 
-    optimum_weight = reference
-    if optimum_weight is None and _is_bipartite(graph):
-        optimum_weight = max_weight_bipartite(graph).weight(graph)
-    cert = certify(graph, matching, optimum_weight=optimum_weight)
+    cert = certify(graph, matching, optimum_weight=(
+        reference if reference is not None
+        else lambda: _bipartite_optimum_weight(graph)))
     return obs.finish(MatchingResult(
         matching=matching, algorithm=name,
         certificate=cert, metrics=metrics, detail=detail))
@@ -215,8 +230,8 @@ def maximal_matching(graph: Graph, *, seed: int = 0,
     net = _build_network(graph, policy or CONGEST, seed, max_rounds,
                          obs.observe, execution)
     matching = israeli_itai(net)
-    optimum = max_cardinality(graph).size
-    cert = certify(graph, matching, optimum_size=optimum)
+    cert = certify(graph, matching,
+                   optimum_size=lambda: max_cardinality(graph).size)
     return obs.finish(MatchingResult(
         matching=matching, algorithm="israeli_itai",
         certificate=cert, metrics=net.metrics))
@@ -235,23 +250,36 @@ def mpc_maximal_matching(graph: Graph, *, alpha: float = 0.5, seed: int = 0,
     integrate driver (:func:`repro.mpc.mpc_maximal`) on an
     :class:`~repro.mpc.cluster.MPCCluster` with a hard per-machine budget
     of ``S = ceil(n**alpha)`` words; an ``alpha`` too small for the input
-    raises :class:`~repro.mpc.cluster.MemoryExceeded`.  The result's
-    ``rounds`` are MPC *supersteps* and ``network_metrics`` carries the
-    memory account (``memory_peak_words`` <= ``memory_limit_words``).
-    The observability trio works exactly as for CONGEST entry points.
+    raises :class:`~repro.mpc.cluster.MemoryExceeded`.  An edgeless input
+    needs no machine memory: it returns the empty matching after 0
+    supersteps with a zero memory account.  The result's ``rounds`` are
+    MPC *supersteps* and ``network_metrics`` carries the memory account
+    (``memory_peak_words`` <= ``memory_limit_words``).  The certificate's
+    exact optimum is computed on first read.  The observability trio works
+    exactly as for CONGEST entry points.
     """
-    from ..mpc import MPCCluster, mpc_maximal as _mpc_driver
+    from ..mpc import MPCCluster, MPCMatchingResult
+    from ..mpc import mpc_maximal as _mpc_driver
 
     obs = ObservabilityScope(observe, trace, profile)
-    cluster = MPCCluster(graph, alpha=alpha, seed=seed,
-                         observe=obs.observe, execution=execution)
-    res = _mpc_driver(cluster, max_iterations=max_iterations)
-    optimum = max_cardinality(graph).size
-    cert = certify(graph, res.matching, optimum_size=optimum)
+    if graph.num_edges == 0:
+        # nothing to distribute or match, so no cluster: its S-word floor
+        # exists for edge records and would refuse small inputs
+        MPC_MODEL.check_plan(ExecutionPlan.coerce(execution))
+        res = MPCMatchingResult(alpha=alpha)
+        metrics = Metrics()
+        bus = None
+    else:
+        cluster = MPCCluster(graph, alpha=alpha, seed=seed,
+                             observe=obs.observe, execution=execution)
+        res = _mpc_driver(cluster, max_iterations=max_iterations)
+        metrics = cluster.metrics
+        bus = cluster.bus
+    cert = certify(graph, res.matching,
+                   optimum_size=lambda: max_cardinality(graph).size)
     result = MatchingResult(
         matching=res.matching, algorithm=f"mpc_maximal(alpha={alpha:g})",
-        certificate=cert, metrics=cluster.metrics, detail=res)
-    bus = cluster.bus
+        certificate=cert, metrics=metrics, detail=res)
     if bus is not None:
         profiler = bus.find(Profiler)
         if profiler is not None:

@@ -20,6 +20,7 @@ from .paths import (
 )
 from .verify import (
     Certificate,
+    StaleCertificateError,
     certify,
     has_augmenting_path_shorter_than,
     is_maximal,
@@ -45,6 +46,7 @@ __all__ = [
     "paths_conflict",
     "shortest_augmenting_path_length",
     "Certificate",
+    "StaleCertificateError",
     "certify",
     "has_augmenting_path_shorter_than",
     "is_maximal",

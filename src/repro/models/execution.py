@@ -120,6 +120,20 @@ class ExecutionPlan:
             raise ValueError(
                 f"kernels=False contradicts tier {self.tier!r}")
 
+    @classmethod
+    def coerce(cls, execution: Any) -> "ExecutionPlan":
+        """The plan an ``execution=`` argument names: ``None`` (the
+        default plan), a tier name, or an :class:`ExecutionPlan`."""
+        if execution is None:
+            return cls()
+        if isinstance(execution, str):
+            return cls(tier=execution)
+        if isinstance(execution, ExecutionPlan):
+            return execution
+        raise TypeError(
+            f"execution= wants an ExecutionPlan or a tier name, "
+            f"got {type(execution).__name__}")
+
 
 @dataclass
 class ExecutionDecision:

@@ -148,16 +148,7 @@ class MPCCluster:
         self.model = MPC_MODEL
         self.metrics = Metrics()
 
-        if execution is None:
-            plan = ExecutionPlan()
-        elif isinstance(execution, str):
-            plan = ExecutionPlan(tier=execution)
-        elif isinstance(execution, ExecutionPlan):
-            plan = execution
-        else:
-            raise TypeError(
-                f"execution= wants an ExecutionPlan or a tier name, "
-                f"got {type(execution).__name__}")
+        plan = ExecutionPlan.coerce(execution)
         self.model.check_plan(plan)  # fail fast on foreign (CONGEST) rungs
         self.execution_plan = plan
 

@@ -664,7 +664,13 @@ class MatchingService:
         return self.matching.size / optimum if optimum else 1.0
 
     def result(self, certify_result: bool = False) -> StreamResult:
-        """The stream's cumulative result (commits any pending updates)."""
+        """The stream's cumulative result (commits any pending updates).
+
+        ``certify_result`` attaches a
+        :class:`~repro.matching.verify.Certificate` of this epoch's
+        matching; its exact optimum is computed on first read and stays
+        this epoch's whatever the service does afterwards.
+        """
         self.commit()
         result = StreamResult(
             matching=self.matching.copy(), network=self._last_network,
@@ -676,9 +682,12 @@ class MatchingService:
             from ..matching.sequential.blossom import max_cardinality
             from ..matching.verify import certify
 
+            # certified on a private copy, so the optimum (computed on
+            # first read) is this epoch's even after further updates
+            graph = self.graph.copy()
             result.certificate = certify(
-                self.graph, self.matching,
-                optimum_size=max_cardinality(self.graph).size)
+                graph, result.matching,
+                optimum_size=lambda: max_cardinality(graph).size)
         return self._obs.stamp(result)
 
     def close(self) -> None:

@@ -12,9 +12,10 @@ import random
 import pytest
 
 import repro
-from repro.graphs import gnp, grid_graph, path_graph, random_bipartite
+from repro.graphs import Graph, gnp, grid_graph, path_graph, random_bipartite
 from repro.graphs.generators import star_graph
 from repro.matching.verify import is_maximal, verify_matching
+from repro.models.base import ModelExecutionError
 from repro.mpc import (
     BASE_WORDS,
     MIN_MACHINE_WORDS,
@@ -191,3 +192,22 @@ class TestRunEntryPoint:
     def test_guard_propagates_through_run(self):
         with pytest.raises(MemoryExceeded):
             repro.run("mpc_maximal", path_graph(300), alpha=0.3)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9])
+    @pytest.mark.parametrize("n", [0, 1, 5, 300])
+    def test_edgeless_input_needs_no_machine(self, n, alpha):
+        graph = Graph()
+        graph.add_nodes(range(n))
+        result = repro.mpc_maximal_matching(graph, alpha=alpha, profile=True)
+        assert result.size == 0
+        assert result.rounds == 0 and result.detail.supersteps == 0
+        m = result.network_metrics
+        assert (m.memory_peak_words, m.memory_limit_words,
+                m.memory_machines) == (0, 0, 0)
+        cert = result.certificate
+        assert cert.valid and cert.maximal and cert.cardinality_ratio == 1.0
+        assert result.profile is not None
+
+    def test_edgeless_input_still_checks_the_plan(self):
+        with pytest.raises(ModelExecutionError):
+            repro.mpc_maximal_matching(path_graph(1), execution="kernel")
