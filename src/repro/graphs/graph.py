@@ -65,6 +65,9 @@ class Graph:
 
     def __init__(self) -> None:
         self._adj: Dict[int, Dict[int, float]] = {}
+        # kept by add_edge/remove_edge/remove_node, the only writers of
+        # ``_adj``, so ``num_edges`` is O(1) (snapshots read it per commit)
+        self._num_edges = 0
         # CSR snapshot cache, keyed by the mutation version: every mutator
         # bumps ``_version``, so a cached snapshot is valid exactly while
         # the adjacency content is unchanged (repeated ``Network``
@@ -104,6 +107,8 @@ class Graph:
         self.add_node(u)
         self.add_node(v)
         existing = self._adj[u].get(v)
+        if existing is None:
+            self._num_edges += 1
         if existing is None or weight > existing:
             self._version += 1
             self._adj[u][v] = weight
@@ -129,6 +134,7 @@ class Graph:
         if not self.has_edge(u, v):
             raise GraphError(f"edge ({u}, {v}) not in graph")
         self._version += 1
+        self._num_edges -= 1
         del self._adj[u][v]
         del self._adj[v][u]
 
@@ -136,6 +142,7 @@ class Graph:
         if v not in self._adj:
             raise GraphError(f"node {v} not in graph")
         self._version += 1
+        self._num_edges -= len(self._adj[v])
         for u in list(self._adj[v]):
             del self._adj[u][v]
         del self._adj[v]
@@ -154,7 +161,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return self._num_edges
 
     def has_node(self, v: int) -> bool:
         return v in self._adj
@@ -322,8 +329,28 @@ class Graph:
         return worst
 
     def ball(self, center: int, radius: int) -> Set[int]:
-        """All nodes within ``radius`` hops of ``center`` (inclusive)."""
-        return set(self.bfs_distances(center, limit=radius))
+        """All nodes within ``radius`` hops of ``center`` (inclusive).
+
+        The same set as ``set(bfs_distances(center, limit=radius))``, found
+        one BFS level at a time: each level is a single set union of the
+        frontier's neighbour views, with no per-neighbour Python step.
+        """
+        adj = self._adj
+        if center not in adj:
+            raise GraphError(f"node {center} not in graph")
+        seen = {center}
+        frontier = seen
+        for hops_left in range(radius, 0, -1):
+            nbrs = [adj[u] for u in frontier]
+            if hops_left == 1:
+                # the last level only joins the ball; it needs no frontier
+                seen.update(*nbrs)
+                break
+            frontier = set().union(*nbrs) - seen
+            if not frontier:
+                break
+            seen |= frontier
+        return seen
 
     def bipartition(self) -> Optional[Tuple[Set[int], Set[int]]]:
         """Return a 2-coloring ``(left, right)`` if bipartite, else ``None``.

@@ -2,8 +2,13 @@
 
 import json
 import warnings
+from collections import deque
+from pathlib import Path
+from typing import Deque, List, Optional, Set, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import run
@@ -22,6 +27,7 @@ from repro.core.api import ALGORITHMS, stream_matching
 from repro.dynamic import DynamicMatcher
 from repro.graphs import Graph, gnp, path_graph
 from repro.graphs.graph import GraphError
+from repro.matching import Matching
 from repro.matching.sequential.blossom import max_cardinality
 from repro.matching.verify import verify_matching
 from repro.stream import (
@@ -478,6 +484,255 @@ class TestShimGoldens:
     def test_shim_threads_seed(self):
         dm = legacy_matcher(k=2, graph=path_graph(4), seed=7)
         assert dm._service.seed == 7
+
+
+# ---------------------------------------------------------------------------
+# repair="fast": golden-pinned per-batch accounts and final matchings
+# ---------------------------------------------------------------------------
+
+# Captured from the fast repair of commit 13a647a (before the verdict memo
+# and per-seed ball reuse) with _drive_fast below.  Any speedup of the
+# fast repair must reproduce them bit for bit.
+FAST_GOLDENS_PATH = Path(__file__).with_name("fast_repair_goldens.json")
+
+
+def _fast_stream(seed, n=16, steps=64):
+    """Edge and node inserts/deletes (plus a few weight overwrites),
+    valid against gnp(n, 0.2, rng=seed) at every step."""
+    import random as _random
+
+    rng = _random.Random(seed)
+    mirror = gnp(n, 0.2, rng=seed)
+    next_id = n
+    out = []
+    while len(out) < steps:
+        nodes = mirror.nodes
+        roll = rng.random()
+        if roll < 0.5 and len(nodes) >= 2:
+            u, v = rng.sample(nodes, 2)
+            if mirror.has_edge(u, v):
+                mirror.remove_edge(u, v)
+                out.append(EdgeUpdate("delete", u, v))
+            else:
+                w = float(1 + rng.randrange(4))
+                mirror.add_edge(u, v, w)
+                out.append(EdgeUpdate("insert", u, v, w))
+        elif roll < 0.6 and len(nodes) > 4:
+            victim = rng.choice(nodes)
+            mirror.remove_node(victim)
+            out.append(EdgeUpdate("delete_node", victim))
+        elif roll < 0.7:
+            mirror.add_node(next_id)
+            out.append(EdgeUpdate("insert_node", next_id))
+            next_id += 1
+        elif roll < 0.75 and mirror.num_edges:
+            u, v, _ = rng.choice(list(mirror.edges()))
+            w = float(1 + rng.randrange(4))
+            mirror.set_weight(u, v, w)
+            out.append(EdgeUpdate("weight", u, v, w))
+        elif len(nodes) >= 2:
+            # a dense insert phase keeps augmenting paths appearing
+            u, v = rng.sample(nodes, 2)
+            if not mirror.has_edge(u, v):
+                mirror.add_edge(u, v)
+                out.append(EdgeUpdate("insert", u, v))
+    return out
+
+
+def _drive_fast(seed, k, batch):
+    svc = MatchingService(gnp(16, 0.2, rng=seed), k=k, seed=seed,
+                          batch=batch)
+    svc.apply(_fast_stream(seed))
+    svc.commit()
+    return {
+        "edges": [list(e) for e in sorted(svc.matching.edges())],
+        "history": [[h.operation, h.seeds, h.augmentations,
+                     h.nodes_explored, h.mode, h.size]
+                    for h in svc.history],
+    }
+
+
+FAST_CASES = [(seed, k, batch) for seed in range(3) for k in (1, 2, 3)
+              for batch in (1, 16, 64)]
+
+
+def _fast_key(seed, k, batch):
+    return f"seed={seed} k={k} batch={batch}"
+
+
+class TestFastRepairGoldens:
+    @pytest.fixture(scope="class")
+    def goldens(self):
+        return json.loads(FAST_GOLDENS_PATH.read_text())
+
+    def test_goldens_cover_the_matrix(self, goldens):
+        assert sorted(goldens) == sorted(_fast_key(*c) for c in FAST_CASES)
+
+    @pytest.mark.parametrize("seed,k,batch", FAST_CASES)
+    def test_bit_identical_to_pinned_repair(self, goldens, seed, k, batch):
+        got = _drive_fast(seed, k, batch)
+        golden = goldens[_fast_key(seed, k, batch)]
+        assert got["history"][0][0] == "init"
+        assert got["edges"] == golden["edges"]
+        assert got["history"] == golden["history"]
+
+
+# ---------------------------------------------------------------------------
+# repair="fast" against the pre-memo repair on arbitrary states
+# ---------------------------------------------------------------------------
+
+
+class ReferenceRepair:
+    """The fast repair of commit 13a647a: the two methods below are copied
+    verbatim; only this holder of (graph, matching, 2k-1) is new."""
+
+    def __init__(self, graph, matching, k):
+        self.graph = graph
+        self.matching = matching
+        self.max_path_length = 2 * k - 1
+
+    def _repair_fast(self, seeds: Set[int]) -> Tuple[int, int]:
+        """Coalescing worklist repair; returns (augmentations, explored).
+
+        Per seed ``s``: any augmenting path of length <= 2k-1 through ``s``
+        has a free endpoint within 2k-1 hops of ``s``, so scan the free
+        nodes of ``ball(s, 2k-1)`` and run a depth-bounded alternating DFS
+        from each; augment the first path found (deterministic: sorted
+        neighbors, first hit) and requeue its nodes.  A seed retires only
+        when no free node in its ball starts any short augmenting path.
+        """
+        graph, matching = self.graph, self.matching
+        limit = self.max_path_length
+        queue: Deque[int] = deque(sorted(
+            s for s in seeds if graph.has_node(s)))
+        queued: Set[int] = set(queue)
+        augmentations = 0
+        explored = 0
+        while queue:
+            seed = queue.popleft()
+            queued.discard(seed)
+            if not graph.has_node(seed):
+                continue
+            applied = True
+            while applied:
+                applied = False
+                ball = graph.ball(seed, limit)
+                explored += len(ball)
+                for f in sorted(v for v in ball if matching.is_free(v)):
+                    path = self._find_augmenting_from(f, limit)
+                    if path is None:
+                        continue
+                    matching.augment(path)
+                    augmentations += 1
+                    applied = True
+                    for node in path:
+                        if node not in queued:
+                            queue.append(node)
+                            queued.add(node)
+                    break  # ball changed; recompute before scanning on
+        return augmentations, explored
+
+    def _find_augmenting_from(self, start: int,
+                              limit: int) -> Optional[List[int]]:
+        """First (sorted-DFS order) augmenting path of <= ``limit`` edges
+        starting at the free node ``start``, or ``None``."""
+        adj = self.graph._adj
+        matching = self.matching
+        path = [start]
+        on_path = {start}
+
+        def extend(tail: int, used: int) -> Optional[List[int]]:
+            # next edge is unmatched; it may close the path at a free node
+            if used + 1 > limit:
+                return None
+            for nxt in sorted(adj[tail]):
+                if nxt in on_path or matching.contains_edge(tail, nxt):
+                    continue
+                if matching.is_free(nxt):
+                    return path + [nxt]
+                # continue through nxt's matched edge (needs 2 more edges
+                # plus a final unmatched one)
+                if used + 3 > limit:
+                    continue
+                mate = matching.mate(nxt)
+                if mate is None or mate in on_path or mate not in adj[nxt]:
+                    continue
+                path.append(nxt)
+                path.append(mate)
+                on_path.add(nxt)
+                on_path.add(mate)
+                found = extend(mate, used + 2)
+                if found is not None:
+                    return found
+                path.pop()
+                path.pop()
+                on_path.discard(nxt)
+                on_path.discard(mate)
+            return None
+
+        return extend(start, 0)
+
+
+@st.composite
+def repair_case(draw):
+    """A graph on <= 14 nodes, any valid matching of it (the invariant
+    need not hold), a seed set that may name absent nodes, and k."""
+    n = draw(st.integers(min_value=0, max_value=14))
+    g = Graph()
+    g.add_nodes(range(n))
+    if n >= 2:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for u, v in draw(st.lists(pairs, max_size=40)):
+            if u != v:
+                g.add_edge(u, v)
+    m = Matching()
+    for u, v in draw(st.permutations([(u, v) for u, v, _ in g.edges()])):
+        if m.is_free(u) and m.is_free(v) and draw(st.booleans()):
+            m.add(u, v)
+    if draw(st.booleans()):
+        seeds = {v for v in g.nodes if m.is_free(v)}  # the init pass
+    else:
+        seeds = draw(st.sets(st.integers(-2, n + 2), max_size=n + 3))
+    return g, m, seeds, draw(st.sampled_from([1, 2, 3]))
+
+
+def _repair_both(graph, matching, seeds, k):
+    svc = MatchingService(k=k)
+    svc.graph, svc.matching = graph.copy(), matching.copy()
+    ref = ReferenceRepair(graph.copy(), matching.copy(), k)
+    assert svc._repair_fast(set(seeds)) == ref._repair_fast(set(seeds))
+    assert svc.matching == ref.matching
+    assert sorted(svc.matching.edges()) == sorted(ref.matching.edges())
+
+
+@given(repair_case())
+@settings(deadline=None, max_examples=400)
+def test_fast_repair_matches_pre_memo_reference(case):
+    graph, matching, seeds, k = case
+    # the DFS alone: the same first path from every free node
+    svc = MatchingService(k=k)
+    svc.graph, svc.matching = graph, matching
+    ref = ReferenceRepair(graph, matching, k)
+    limit = 2 * k - 1
+    for f in graph.nodes:
+        if matching.is_free(f):
+            assert (svc._find_augmenting_from(f, limit, {})
+                    == ref._find_augmenting_from(f, limit))
+    _repair_both(graph, matching, seeds, k)
+
+
+def test_dead_verdicts_revive_after_an_augmentation():
+    # found by a random search: free node 3 has no augmenting path of
+    # length <= 5 until an augmentation elsewhere opens one, so a verdict
+    # memo that outlived the augmentation would skip it
+    g = Graph()
+    g.add_nodes(range(14))
+    for u, v in [(0, 4), (1, 8), (1, 12), (2, 5), (2, 13), (3, 4), (3, 8),
+                 (3, 12), (3, 13), (4, 9), (4, 10), (5, 8), (5, 10),
+                 (5, 12), (9, 12)]:
+        g.add_edge(u, v)
+    m = Matching([(1, 12), (4, 9), (5, 8)])
+    _repair_both(g, m, {0, 2, 3, 6, 7, 10, 11, 13}, k=3)
 
 
 # ---------------------------------------------------------------------------
